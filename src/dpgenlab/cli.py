@@ -11,8 +11,9 @@ Subcommands:
 Reports are JSON (CSV for sweeps, SVG for plots). Runs that write files get
 a ``<output>.manifest.json`` sidecar holding every resolved parameter and
 input digest; stdout reports embed the same manifest. Exit codes: 0 success,
-2 usage error, 3 input error, 4 numeric or solver error, 5 enumeration cap
-exceeded. Errors print a one-line JSON record to stderr.
+2 usage error, 3 input error (including an output path that cannot be
+written, such as one in a missing directory), 4 numeric or solver error, 5
+enumeration cap exceeded. Errors print a one-line JSON record to stderr.
 
 The ``DPGENLAB_ENUM_CAP`` environment variable overrides the default cap on
 exact message enumeration.
@@ -28,9 +29,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
-from .errors import ArgumentError, EXIT_NUMERIC, EXIT_OK, WorkbenchError
+from .errors import ArgumentError, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, WorkbenchError
 from .generation import (
     DEFAULT_ENUM_CAP,
     Dataset,
@@ -57,14 +56,7 @@ from .privacy import (
 )
 from .selftest import run_selftest
 from .svgplot import write_sweep_svg
-from .utility import (
-    OptimizationProblem,
-    UtilitySpec,
-    expected_utility,
-    gibbs_distribution,
-    optimal_temperature,
-    utility_temperature_derivative,
-)
+from .utility import OptimizationProblem, UtilitySpec, objective_curve, optimal_temperature
 
 CURVE_HEADER = "temperature,expected_utility,objective,derivative"
 CURVE_POINTS = 101
@@ -335,19 +327,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         input_digests=digests,
     )
     if args.curve:
-        lo, hi = problem.bracket
-        lines = [CURVE_HEADER]
-        for t in np.geomspace(lo, hi, CURVE_POINTS):
-            temperature = float(t)
-            dist = gibbs_distribution(
-                model, dataset, problem.length, temperature, problem.enum_cap
-            )
-            e_nu = expected_utility(dist, utility, problem.length)
-            objective = e_nu + (problem.lam / problem.length) * temperature
-            derivative = utility_temperature_derivative(
-                model, dataset, problem.length, utility, temperature, problem.enum_cap
-            )
-            lines.append(f"{temperature!r},{e_nu!r},{objective!r},{derivative!r}")
+        lines = [CURVE_HEADER] + [
+            ",".join(repr(v) for v in row) for row in objective_curve(problem, CURVE_POINTS)
+        ]
         Path(args.curve).write_text("\n".join(lines) + "\n")
         manifest.write_next_to(args.curve)
     _emit_json(payload, manifest, args.out)
@@ -562,14 +544,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except WorkbenchError as exc:
+    except (WorkbenchError, OSError) as exc:
+        # OSError here comes from writing an output file; reading inputs
+        # already maps it to InputError.
+        exit_code = exc.exit_code if isinstance(exc, WorkbenchError) else EXIT_INPUT
         record = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "exit_code": exc.exit_code,
+            "exit_code": exit_code,
         }
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return exc.exit_code
+        return exit_code
 
 
 if __name__ == "__main__":

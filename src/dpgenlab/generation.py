@@ -563,12 +563,33 @@ def _level_log_probs(
                 acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
 
 
+def _factorised_log_probs(
+    model: LogitModel, dataset: Dataset, config: GenerationConfig
+) -> np.ndarray | None:
+    """Per-step log-probability rows, shape (L, V), of a coupling-free model.
+
+    Without history coupling the next-token law does not depend on the
+    prefix, so the message law is the product of these L rows and every
+    exact quantity reduces to O(L*V) work on them. Returns None for a coupled
+    model. The enumeration cap is still enforced, so both paths accept the
+    same inputs.
+    """
+    if model.history_coupling is not None:
+        return None
+    check_enumerable(model.vocabulary.size, config.length, config.enum_cap)
+    scaled = path_logits(model, dataset, config.length) / config.temperature
+    return scaled - logsumexp(scaled, axis=1, keepdims=True)
+
+
 def enumerate_message_distribution(
     model: LogitModel, dataset: Dataset, config: GenerationConfig
 ) -> MessageDistribution:
     """Exact product-form distribution over all |V|^L messages."""
+    levels = _factorised_log_probs(model, dataset, config)
+    if levels is None:
+        levels = _level_log_probs(model, dataset, config)
     table = np.zeros(1)
-    for level in _level_log_probs(model, dataset, config):
+    for level in levels:
         table = (table[:, None] + level).reshape(-1)
     return MessageDistribution(model.vocabulary, config.length, table)
 

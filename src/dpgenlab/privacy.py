@@ -7,9 +7,18 @@ logit shift between neighbors is
             |influence(new_record, w, k) - influence(old_record, w, k)|
 
 which bounds every per-step log-probability ratio by 2*Delta/T and therefore
-the whole L-step message by 2*Delta*L/T. The exact counterparts enumerate the
-message space. Hockey-stick divergence converts an epsilon into the smallest
-admissible delta: delta(eps) = sum_m max(P(m) - e^eps * Q(m), 0).
+the whole L-step message by 2*Delta*L/T. Hockey-stick divergence converts an
+epsilon into the smallest admissible delta:
+delta(eps) = sum_m max(P(m) - e^eps * Q(m), 0).
+
+The exact counterparts take one of two paths, chosen by the model. With
+history coupling they enumerate the message space prefix by prefix. Without
+it the message law is a product of per-step softmaxes, so the log-ratio of a
+message is a sum of per-step terms r_k(w_k) = log p_k(w_k) - log q_k(w_k):
+the exact message and per-step epsilons are closed forms over the (L, V)
+table r, at O(L*V) cost, and the message tables that hockey-stick delta
+needs are outer sums of the per-step rows. Both paths enforce the same
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .generation import (
     record_influence_vector,
     step_logits,
     token_distribution,
+    _factorised_log_probs,
     _level_log_probs,
 )
 
@@ -214,10 +224,34 @@ def token_epsilon_exact(
     return float(np.abs(p - q).max())
 
 
+def _step_log_ratios(
+    model: LogitModel, pair: NeighborPair, config: GenerationConfig
+) -> np.ndarray | None:
+    """r[k, w] = log p_k(w) - log q_k(w) for a coupling-free model, else None."""
+    p = _factorised_log_probs(model, pair.left, config)
+    if p is None:
+        return None
+    return p - _factorised_log_probs(model, pair.right, config)
+
+
 def message_epsilon_exact(
     model: LogitModel, pair: NeighborPair, config: GenerationConfig
 ) -> tuple[float, Message]:
-    """Largest |log P_left(m) - log P_right(m)| over all messages, with witness."""
+    """Largest |log P_left(m) - log P_right(m)| over all messages, with witness.
+
+    Without history coupling the maximum is max(sum_k max_w r_k, sum_k max_w
+    -r_k), attained by the per-step first argmax. On a tie between the two
+    signs the lexicographically smaller witness wins, as it does in the
+    enumeration.
+    """
+    r = _step_log_ratios(model, pair, config)
+    if r is not None:
+        sides = [
+            (float(s.max(axis=1).sum()), tuple(int(w) for w in s.argmax(axis=1)))
+            for s in (r, -r)
+        ]
+        eps = max(e for e, _ in sides)
+        return eps, Message(min(w for e, w in sides if e == eps))
     p = enumerate_message_distribution(model, pair.left, config).log_probs
     q = enumerate_message_distribution(model, pair.right, config).log_probs
     gaps = np.abs(p - q)
@@ -229,6 +263,9 @@ def per_step_max_epsilons(
     model: LogitModel, pair: NeighborPair, config: GenerationConfig
 ) -> tuple[float, ...]:
     """For each step, the exact epsilon maximised over all histories."""
+    r = _step_log_ratios(model, pair, config)
+    if r is not None:
+        return tuple(float(v) for v in np.abs(r).max(axis=1))
     maxima = []
     for left_level, right_level in zip(
         _level_log_probs(model, pair.left, config),

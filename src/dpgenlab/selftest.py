@@ -60,6 +60,7 @@ from .utility import (
     optimal_temperature,
     regularized_objective,
     utility_covariance,
+    utility_moments,
     utility_temperature_derivative,
 )
 
@@ -412,6 +413,40 @@ def check_optimizer_boundaries() -> None:
     _close(t_high, 2.0, 1e-12, "a dominant lambda must return the upper bracket edge")
 
 
+def check_closed_form_matches_enumeration() -> None:
+    """A coupling-free model takes the closed forms; its zero-coupling twin has
+    the same law but takes the enumeration path."""
+    vocab = Vocabulary(("a", "b", "c"))
+    tables = {"default": ((0.4, 0.0, -0.3), (0.1, 0.5, 0.0), (-0.2, 0.3, 0.6))}
+    rule = TagTableRule(beta=1.0, table={"up": (1.0, 0.0, -0.5), "down": (-0.5, 0.0, 1.0)})
+    free = LogitModel(vocabulary=vocab, base_tables=tables, influence=rule)
+    twin = LogitModel(
+        vocabulary=vocab, base_tables=tables, influence=rule, history_coupling=((0.0,) * 3,) * 3
+    )
+    left = Dataset((Record("a", 1.0, "up"), Record("b", 1.0, "down")))
+    pair = NeighborPair(
+        left=left, right=left.replace(0, Record("a", 1.0, "down")), differing_index=0
+    )
+    config = GenerationConfig(0.8, 3)
+    eps, _ = message_epsilon_exact(free, pair, config)
+    _close(eps, message_epsilon_exact(twin, pair, config)[0], 1e-12, "message epsilon")
+    free_delta, twin_delta = (
+        hockey_stick_delta(
+            enumerate_message_distribution(m, pair.left, config),
+            enumerate_message_distribution(m, pair.right, config),
+            eps / 2,
+        )
+        for m in (free, twin)
+    )
+    _true(free_delta > 0.0, "delta at eps/2 should be positive")
+    _close(free_delta, twin_delta, 1e-12, "hockey-stick delta at eps/2")
+    utility = UtilitySpec.exp_logit_plus_length(0.1)
+    e_nu, cov = utility_moments(free, left, 3, utility)(0.8)
+    want_e_nu, want_cov = utility_moments(twin, left, 3, utility)(0.8)
+    _close(e_nu, want_e_nu, 1e-12, "E[nu]")
+    _close(cov, want_cov, 1e-12, "Cov(nu, U)")
+
+
 # ---------------------------------------------------------------------------
 # empirical-lab checks
 
@@ -508,6 +543,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("regularized_objective", check_regularized_objective),
     ("optimizer_interior_candidate", check_optimizer_interior_candidate),
     ("optimizer_boundaries", check_optimizer_boundaries),
+    ("closed_form_matches_enumeration", check_closed_form_matches_enumeration),
     ("laplace_smoothing", check_laplace_smoothing),
     ("divergences", check_divergences),
     ("shared_seed_zeroes_metrics", check_shared_seed_zeroes_metrics),

@@ -12,12 +12,21 @@ condition lambda/L = Cov_T(nu, U)/T^2 for sign changes, refining each root by
 bisection, and picking the best of the interior roots and the bracket
 endpoints. Interior stationary points may be minima, so the global selection
 step is not optional.
+
+The solver, the objective, the derivative and the objective curve all read
+E_T[nu] and Cov_T(nu, U) from one moments function built per (model,
+dataset, length, utility). Without history coupling the Gibbs law is the
+product of per-step softmaxes of the logit rows l_k, so for every utility
+kind except ``table`` the moments are per-step closed forms at O(L*V) cost
+per temperature, e.g. log E[e^U] = sum_k [LSE((1 + 1/T) l_k) - LSE(l_k / T)].
+Otherwise one score table is enumerated and reused for every temperature.
+Both paths enforce the same enumeration cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -28,8 +37,10 @@ from .generation import (
     Dataset,
     GenerationConfig,
     LogitModel,
+    check_enumerable,
     enumerate_cumulative_scores,
     enumerate_message_distribution,
+    path_logits,
 )
 
 UTILITY_KINDS = ("exp_logit_plus_length", "affine_in_U", "constant", "table")
@@ -195,6 +206,83 @@ def utility_covariance(dist: GibbsDistribution, utility: UtilitySpec, length: in
     return float(weights @ (values * scores) - (weights @ values) * (weights @ scores))
 
 
+Moments = Callable[[float], tuple[float, float]]
+
+
+def _step_softmax(logits: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-normaliser and softmax weights of each row of beta * logits.
+
+    A numpy max-shift stands in for scipy's logsumexp, whose per-call
+    overhead would dominate on rows this small.
+    """
+    scaled = beta * logits
+    top = scaled.max(axis=1, keepdims=True)
+    log_norm = top + np.log(np.exp(scaled - top).sum(axis=1, keepdims=True))
+    return log_norm[:, 0], np.exp(scaled - log_norm)
+
+
+def _factorised_moments(logits: np.ndarray, utility: UtilitySpec, length: int) -> Moments:
+    """Closed-form moments for the product law of the (L, V) logit rows."""
+    if utility.kind == "constant":
+        return lambda T: (utility.value, 0.0)
+    if utility.kind == "affine_in_U":
+
+        def affine(T: float) -> tuple[float, float]:
+            _, weights = _step_softmax(logits, 1.0 / T)
+            means = (weights * logits).sum(axis=1)
+            variances = (weights * (logits - means[:, None]) ** 2).sum(axis=1)
+            e_nu = utility.slope * float(means.sum()) + utility.intercept
+            return e_nu, utility.slope * float(variances.sum())
+
+        return affine
+
+    # exp_logit_plus_length. The enumeration path exponentiates every score,
+    # the largest of which is the sum of the per-step maxima.
+    if not np.isfinite(np.exp(logits.max(axis=1).sum())):
+        raise SolverError("utility evaluated to a non-finite value")
+    bonus = utility.length_coefficient * length
+
+    def exp_plus_length(T: float) -> tuple[float, float]:
+        # E[e^U] tilts every step from exp(l/T) to exp((1 + 1/T) l), and
+        # Cov(e^U, U) = E[e^U] * (E_tilted[U] - E[U]).
+        log_norm, weights = _step_softmax(logits, 1.0 / T)
+        tilted_log_norm, tilted = _step_softmax(logits, 1.0 + 1.0 / T)
+        mean_exp = float(np.exp((tilted_log_norm - log_norm).sum()))
+        shift = float(((tilted - weights) * logits).sum())
+        return mean_exp + bonus, mean_exp * shift
+
+    return exp_plus_length
+
+
+def utility_moments(
+    model: LogitModel,
+    dataset: Dataset,
+    length: int,
+    utility: UtilitySpec,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+) -> Moments:
+    """The function T -> (E_T[nu], Cov_T(nu, U)) under the Gibbs law.
+
+    Coupling-free models with a score-based utility get per-step closed
+    forms; coupled models and the table utility enumerate the score table
+    once and reuse it for every temperature.
+    """
+    check_enumerable(model.vocabulary.size, length, enum_cap)
+    if model.history_coupling is None and utility.kind != "table":
+        return _factorised_moments(path_logits(model, dataset, length), utility, length)
+    scores = enumerate_cumulative_scores(model, dataset, length, enum_cap)
+    values = utility.values_for(scores, length)
+
+    def enumerated(T: float) -> tuple[float, float]:
+        scaled = scores / T
+        weights = np.exp(scaled - logsumexp(scaled))
+        e_nu = float(weights @ values)
+        cov = float(weights @ (values * scores) - e_nu * (weights @ scores))
+        return e_nu, cov
+
+    return enumerated
+
+
 def utility_temperature_derivative(
     model: LogitModel,
     dataset: Dataset,
@@ -204,8 +292,7 @@ def utility_temperature_derivative(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> float:
     """Closed-form dE/dT = -Cov(nu, U) / T^2."""
-    dist = gibbs_distribution(model, dataset, length, temperature, enum_cap)
-    cov = utility_covariance(dist, utility, length)
+    _, cov = utility_moments(model, dataset, length, utility, enum_cap)(temperature)
     return -cov / temperature**2
 
 
@@ -263,13 +350,31 @@ class OptimizationDiagnostics:
         }
 
 
+def _problem_moments(problem: OptimizationProblem) -> Moments:
+    return utility_moments(
+        problem.model, problem.dataset, problem.length, problem.utility, problem.enum_cap
+    )
+
+
 def regularized_objective(problem: OptimizationProblem, temperature: float) -> float:
     """E(T) + (lambda / L) * T."""
-    dist = gibbs_distribution(
-        problem.model, problem.dataset, problem.length, temperature, problem.enum_cap
-    )
-    value = expected_utility(dist, problem.utility, problem.length)
-    return value + (problem.lam / problem.length) * temperature
+    e_nu, _ = _problem_moments(problem)(temperature)
+    return e_nu + (problem.lam / problem.length) * temperature
+
+
+def objective_curve(
+    problem: OptimizationProblem, points: int
+) -> list[tuple[float, float, float, float]]:
+    """(T, E(T), objective, dE/dT) at ``points`` log-spaced temperatures
+    spanning the bracket, from one moments function."""
+    moments = _problem_moments(problem)
+    lam_per_step = problem.lam / problem.length
+    rows = []
+    for t in np.geomspace(*problem.bracket, points):
+        temperature = float(t)
+        e_nu, cov = moments(temperature)
+        rows.append((temperature, e_nu, e_nu + lam_per_step * temperature, -cov / temperature**2))
+    return rows
 
 
 def optimal_temperature(
@@ -282,18 +387,8 @@ def optimal_temperature(
     |g| <= 1e-10 or width <= 1e-9, then returns the best of all interior
     roots and the two endpoints.
     """
-    scores = enumerate_cumulative_scores(
-        problem.model, problem.dataset, problem.length, problem.enum_cap
-    )
-    values = problem.utility.values_for(scores, problem.length)
+    moments = _problem_moments(problem)
     lam_per_step = problem.lam / problem.length
-
-    def moments(T: float) -> tuple[float, float]:
-        scaled = scores / T
-        weights = np.exp(scaled - logsumexp(scaled))
-        e_nu = float(weights @ values)
-        cov = float(weights @ (values * scores) - e_nu * (weights @ scores))
-        return e_nu, cov
 
     def foc(T: float) -> float:
         _, cov = moments(T)

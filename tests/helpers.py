@@ -167,3 +167,19 @@ def make_random_instance(rng, max_vocab=5, max_length=3, with_coupling=None):
         left=left, right=left.replace(index, random_record()), differing_index=index
     )
     return model, pair, L
+
+
+def zero_coupling_twin(model):
+    """The same model with an all-zero history coupling table.
+
+    It has the same law as a coupling-free model but takes the enumeration
+    path, so it is the oracle for the closed forms.
+    """
+    V = model.vocabulary.size
+    return LogitModel(
+        vocabulary=model.vocabulary,
+        base_tables=model.base_tables,
+        influence=model.influence,
+        history_coupling=((0.0,) * V,) * V,
+        context=model.context,
+    )

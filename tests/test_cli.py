@@ -294,6 +294,19 @@ def test_enum_cap_env_exits_5(capsys, workdir, monkeypatch):
     assert "cap" in record["message"]
 
 
+def test_unwritable_out_path_exits_3(capsys, workdir):
+    out = workdir / "missing" / "dir" / "x.json"
+    code, stdout, err = run(
+        capsys, ["analyze", *pair_args(workdir), "--T", "1.0", "--L", "2", "--out", str(out)]
+    )
+    assert code == 3
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["exit_code"] == 3
+    assert record["error"] == "FileNotFoundError"
+
+
 def test_bad_temperature_exits_2(capsys, workdir):
     code, _, err = run(
         capsys, ["analyze", *pair_args(workdir), "--T", "0", "--L", "2"]
