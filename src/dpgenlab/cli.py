@@ -387,7 +387,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     utility = _parse_utility(args.utility)
     temperatures = _parse_grid(args.grid) if args.grid else DEFAULT_TEMPERATURES
     lengths = _parse_lengths(args.L) if args.L else DEFAULT_LENGTHS
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     result = run_sweep(
         model,
         pair,
@@ -528,7 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--utility", default="exp_logit_plus_length")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--shared-seed", action="store_true")
-    sweep.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
+    sweep.add_argument(
+        "--jobs", type=int,
+        help="worker processes, >= 1 and at most one per cell (default: cpu count)",
+    )
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.add_argument("--svg", help="also write metric plots here")
     sweep.set_defaults(handler=_cmd_sweep)

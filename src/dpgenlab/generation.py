@@ -15,11 +15,17 @@ where ``r`` ranges over dataset records and ``h_j`` over history tokens. The
 influence of any single record is bounded by the rule's declared cap ``beta``,
 which is what makes the worst-case logit shift between neighboring datasets
 analytically computable.
+
+Every exact table comes from one walk over the prefix tree, ``_prefix_walk``:
+per step it yields the history-free logit row and the summed history
+coupling of every prefix. Without history coupling that sum is one (1, V)
+zero row that every consumer broadcasts, so the per-step levels are (1, V)
+rows and the message tables are outer sums of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -125,18 +131,6 @@ class Dataset:
         return Dataset(tuple(rows))
 
 
-@dataclass(frozen=True)
-class Context:
-    """Opaque conditioning key selecting one base-logit table of a model."""
-
-    prompt_id: str
-    extra: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.prompt_id:
-            raise ConfigError("context prompt_id must be non-empty")
-
-
 # ---------------------------------------------------------------------------
 # record influence rules
 
@@ -154,9 +148,6 @@ class LabelBonusRule:
     def __post_init__(self) -> None:
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ConfigError(f"influence cap beta must be finite and >= 0, got {self.beta!r}")
-
-    def influence(self, record: Record, token: str, step: int) -> float:
-        return self.beta if record.label == token else 0.0
 
     def influence_vector(self, dataset: Dataset, vocabulary: Vocabulary, step: int) -> np.ndarray:
         out = np.zeros(vocabulary.size)
@@ -231,6 +222,11 @@ class LogitModel:
     context: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.influence, (LabelBonusRule, TagTableRule)):
+            raise ConfigError(
+                "influence rule must be a LabelBonusRule or a TagTableRule, "
+                f"got {type(self.influence).__name__}"
+            )
         V = self.vocabulary.size
         tables = {}
         for cid, rows in self.base_tables.items():
@@ -274,16 +270,15 @@ class LogitModel:
     def context_ids(self) -> tuple[str, ...]:
         return tuple(self.base_tables.keys())
 
-    def with_context(self, context: Union[str, Context]) -> "LogitModel":
-        cid = context.prompt_id if isinstance(context, Context) else context
-        if cid == self.context:
+    def with_context(self, context: str) -> "LogitModel":
+        if context == self.context:
             return self
         return LogitModel(
             vocabulary=self.vocabulary,
             base_tables=self.base_tables,
             influence=self.influence,
             history_coupling=self.history_coupling,
-            context=cid,
+            context=context,
         )
 
     @cached_property
@@ -427,26 +422,7 @@ def _influence_vector(model: LogitModel, dataset: Dataset, step: int) -> np.ndar
             raise InputError(
                 f"record {i} has label {rec.label!r} which is not a vocabulary token"
             )
-    rule = model.influence
-    if isinstance(rule, (LabelBonusRule, TagTableRule)):
-        return rule.influence_vector(dataset, vocab, step)
-    # Duck-typed rules: evaluate record by record and enforce the cap.
-    beta = float(rule.beta)
-    out = np.zeros(vocab.size)
-    for i, rec in enumerate(dataset.records):
-        for j, token in enumerate(vocab.tokens):
-            value = float(rule.influence(rec, token, step))
-            if not np.isfinite(value):
-                raise ModelEvaluationError(
-                    f"influence of record {i} on token {token!r} is non-finite"
-                )
-            if abs(value) > beta + 1e-12:
-                raise InputError(
-                    f"influence of record {i} on token {token!r} is {value}, "
-                    f"exceeding the declared cap beta = {beta}"
-                )
-            out[j] += value
-    return out
+    return model.influence.influence_vector(dataset, vocab, step)
 
 
 def record_influence_vector(model: LogitModel, record: Record, step: int) -> np.ndarray:
@@ -536,6 +512,28 @@ def check_enumerable(vocab_size: int, length: int, cap: int) -> int:
     return states
 
 
+def _prefix_walk(
+    model: LogitModel, dataset: Dataset, length: int, enum_cap: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one walk over the prefix tree, step by step.
+
+    Yields, for step k = 1..L, the history-free logit row of shape (|V|,) and
+    the history-coupling sum of every prefix of length k-1, shape
+    (|V|^(k-1), |V|), whose row i belongs to the prefix of lexicographic rank
+    i. A model without history coupling keeps one (1, |V|) zero row, which
+    consumers broadcast. The enumeration cap is enforced for both.
+    """
+    V = model.vocabulary.size
+    check_enumerable(V, length, enum_cap)
+    base = path_logits(model, dataset, length)
+    coupling = model._coupling_array
+    acc = np.zeros((1, V))
+    for k in range(length):
+        yield base[k], acc
+        if coupling is not None and k < length - 1:
+            acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
+
+
 def _level_log_probs(
     model: LogitModel, dataset: Dataset, config: GenerationConfig
 ) -> Iterator[np.ndarray]:
@@ -544,66 +542,35 @@ def _level_log_probs(
     Yields, for step k = 1..L, an array of shape (|V|^(k-1), |V|) whose row i
     is the log next-token distribution after the prefix of lexicographic rank
     i. Prefix order is preserved across levels, so flattening accumulates the
-    lexicographic message table.
+    lexicographic message table. Without history coupling every level is one
+    (1, |V|) row, and all L rows are normalised in a single call.
     """
-    V = model.vocabulary.size
     T = config.temperature
-    check_enumerable(V, config.length, config.enum_cap)
-    base = path_logits(model, dataset, config.length)
-    coupling = model._coupling_array
-    acc = np.zeros((1, V))
-    for k in range(config.length):
-        scaled = (base[k][None, :] + acc) / T
-        level = scaled - logsumexp(scaled, axis=1, keepdims=True)
-        yield level
-        if k < config.length - 1:
-            if coupling is None:
-                acc = np.zeros((acc.shape[0] * V, V))
-            else:
-                acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
-
-
-def _factorised_log_probs(
-    model: LogitModel, dataset: Dataset, config: GenerationConfig
-) -> np.ndarray | None:
-    """Per-step log-probability rows, shape (L, V), of a coupling-free model.
-
-    Without history coupling the next-token law does not depend on the
-    prefix, so the message law is the product of these L rows and every
-    exact quantity reduces to O(L*V) work on them. Returns None for a coupled
-    model. The enumeration cap is still enforced, so both paths accept the
-    same inputs.
-    """
-    if model.history_coupling is not None:
-        return None
-    check_enumerable(model.vocabulary.size, config.length, config.enum_cap)
-    scaled = path_logits(model, dataset, config.length) / config.temperature
-    return scaled - logsumexp(scaled, axis=1, keepdims=True)
+    walk = _prefix_walk(model, dataset, config.length, config.enum_cap)
+    if model.history_coupling is None:
+        scaled = np.stack([row for row, _ in walk]) / T
+        yield from (scaled - logsumexp(scaled, axis=1, keepdims=True))[:, None, :]
+        return
+    for row, acc in walk:
+        scaled = (row[None, :] + acc) / T
+        yield scaled - logsumexp(scaled, axis=1, keepdims=True)
 
 
 def enumerate_message_distribution(
     model: LogitModel, dataset: Dataset, config: GenerationConfig
 ) -> MessageDistribution:
     """Exact product-form distribution over all |V|^L messages."""
-    levels = _factorised_log_probs(model, dataset, config)
-    if levels is None:
-        levels = _level_log_probs(model, dataset, config)
     table = np.zeros(1)
-    for level in levels:
+    for level in _level_log_probs(model, dataset, config):
         table = (table[:, None] + level).reshape(-1)
     return MessageDistribution(model.vocabulary, config.length, table)
-
-
-def cumulative_logit_score(model: LogitModel, dataset: Dataset, message: Message) -> float:
-    """Total logit score U(m) = sum_k l(w_k | h_k); independent of temperature."""
-    msgs = np.asarray([message.tokens], dtype=int)
-    return float(cumulative_logit_scores(model, dataset, msgs)[0])
 
 
 def cumulative_logit_scores(
     model: LogitModel, dataset: Dataset, messages: np.ndarray
 ) -> np.ndarray:
-    """Vectorised U(m) for an (n, L) array of token indices."""
+    """Total logit score U(m) = sum_k l(w_k | h_k) for an (n, L) array of
+    token indices; independent of temperature."""
     messages = np.asarray(messages, dtype=int)
     if messages.ndim != 2:
         raise ArgumentError(f"messages must be a 2-D array, got shape {messages.shape}")
@@ -633,19 +600,9 @@ def enumerate_cumulative_scores(
     """U(m) for every message of ``length``, in lexicographic order."""
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
-    V = model.vocabulary.size
-    check_enumerable(V, length, enum_cap)
-    base = path_logits(model, dataset, length)
-    coupling = model._coupling_array
     scores = np.zeros(1)
-    acc = np.zeros((1, V))
-    for k in range(length):
-        scores = (scores[:, None] + base[k][None, :] + acc).reshape(-1)
-        if k < length - 1:
-            if coupling is None:
-                acc = np.zeros((scores.shape[0], V))
-            else:
-                acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
+    for row, acc in _prefix_walk(model, dataset, length, enum_cap):
+        scores = ((scores[:, None] + row[None, :]) + acc).reshape(-1)
     return scores
 
 
@@ -695,14 +652,3 @@ def sample_messages(
         if acc is not None and k < L - 1:
             acc += coupling[idx]
     return out
-
-
-def sample_message(
-    model: LogitModel,
-    dataset: Dataset,
-    config: GenerationConfig,
-    rng: np.random.Generator,
-) -> Message:
-    """Draw a single message; identical seeds yield identical messages."""
-    row = sample_messages(model, dataset, config, rng, 1)[0]
-    return Message(tuple(int(t) for t in row))

@@ -408,10 +408,14 @@ def run_sweep(
     """Metric curves over a temperature grid, averaged over seeded repeats.
 
     Means and stds are taken across ``repeats`` independent cells; the std
-    uses the unbiased (n-1) denominator and is 0.0 when repeats == 1.
+    uses the unbiased (n-1) denominator and is 0.0 when repeats == 1. At most
+    ``jobs`` worker processes run the cells, and never more than there are
+    cells.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if not lengths:
         raise ConfigError("at least one length is required")
     if not temperatures:
@@ -431,8 +435,9 @@ def run_sweep(
         for repeat in range(repeats)
     ]
     results: dict[tuple[int, int, int], CellMetrics] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for key, cell in pool.map(_run_cell, tasks, chunksize=8):
                 results[key] = cell
     else:

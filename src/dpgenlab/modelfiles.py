@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -79,7 +80,10 @@ def _check_version(data: Any, expected: int, what: str, path: Path) -> None:
 def _as_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{where}: integer is too large for a float") from None
 
 
 def load_model_spec(path: Union[str, Path]) -> LogitModel:
@@ -129,6 +133,8 @@ def load_model_spec(path: Union[str, Path]) -> LogitModel:
         raise InputError(f"{path}: 'influence' must be an object with a 'kind'")
     kind = infl_field["kind"]
     beta = _as_float(infl_field.get("beta", 0.0), f"{path}: influence.beta")
+    if not math.isfinite(beta) or beta < 0:
+        raise InputError(f"{path}: influence.beta must be finite and >= 0, got {beta!r}")
     if kind == "label_bonus":
         influence: Union[LabelBonusRule, TagTableRule] = LabelBonusRule(beta=beta)
     elif kind == "tag_table":
@@ -159,13 +165,14 @@ def load_model_spec(path: Union[str, Path]) -> LogitModel:
     if coupling_field is not None:
         if not isinstance(coupling_field, list) or len(coupling_field) != V:
             raise InputError(f"{path}: history_coupling must be a {V}x{V} table or null")
-        coupling = tuple(
-            tuple(
-                _as_float(v, f"{path}: history_coupling[{i}][{j}]")
-                for j, v in enumerate(row)
-            )
-            for i, row in enumerate(coupling_field)
-        )
+        rows = []
+        for i, row in enumerate(coupling_field):
+            if not isinstance(row, list) or len(row) != V:
+                raise InputError(f"{path}: history_coupling[{i}]: expected a row of {V} numbers")
+            rows.append(tuple(
+                _as_float(v, f"{path}: history_coupling[{i}][{j}]") for j, v in enumerate(row)
+            ))
+        coupling = tuple(rows)
 
     try:
         return LogitModel(

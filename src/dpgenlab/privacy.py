@@ -11,13 +11,15 @@ the whole L-step message by 2*Delta*L/T. Hockey-stick divergence converts an
 epsilon into the smallest admissible delta:
 delta(eps) = sum_m max(P(m) - e^eps * Q(m), 0).
 
-The exact counterparts take one of two paths, chosen by the model. With
-history coupling they enumerate the message space prefix by prefix. Without
-it the message law is a product of per-step softmaxes, so the log-ratio of a
-message is a sum of per-step terms r_k(w_k) = log p_k(w_k) - log q_k(w_k):
-the exact message and per-step epsilons are closed forms over the (L, V)
+The exact counterparts read the two arms' prefix walks level by level, so
+the per-step epsilon is the largest gap |p_k - q_k| of each level. With
+history coupling a level holds one row per prefix and the message epsilon is
+found on the enumerated message tables. Without it every level is a single
+(1, V) row, the message law is a product of per-step softmaxes, and the
+log-ratio of a message is a sum of per-step terms r_k(w_k) = log p_k(w_k) -
+log q_k(w_k): the exact message epsilon is a closed form over the (L, V)
 table r, at O(L*V) cost, and the message tables that hockey-stick delta
-needs are outer sums of the per-step rows. Both paths enforce the same
+needs are outer sums of the per-step rows. Both enforce the same
 enumeration cap.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .generation import (
     record_influence_vector,
     step_logits,
     token_distribution,
-    _factorised_log_probs,
     _level_log_probs,
 )
 
@@ -224,14 +225,24 @@ def token_epsilon_exact(
     return float(np.abs(p - q).max())
 
 
+def _level_gaps(
+    model: LogitModel, pair: NeighborPair, config: GenerationConfig
+) -> Iterator[np.ndarray]:
+    """p_k - q_k for each level of the two arms' prefix walks."""
+    for p, q in zip(
+        _level_log_probs(model, pair.left, config),
+        _level_log_probs(model, pair.right, config),
+    ):
+        yield p - q
+
+
 def _step_log_ratios(
     model: LogitModel, pair: NeighborPair, config: GenerationConfig
 ) -> np.ndarray | None:
     """r[k, w] = log p_k(w) - log q_k(w) for a coupling-free model, else None."""
-    p = _factorised_log_probs(model, pair.left, config)
-    if p is None:
+    if model.history_coupling is not None:
         return None
-    return p - _factorised_log_probs(model, pair.right, config)
+    return np.concatenate(list(_level_gaps(model, pair, config)))
 
 
 def message_epsilon_exact(
@@ -263,16 +274,7 @@ def per_step_max_epsilons(
     model: LogitModel, pair: NeighborPair, config: GenerationConfig
 ) -> tuple[float, ...]:
     """For each step, the exact epsilon maximised over all histories."""
-    r = _step_log_ratios(model, pair, config)
-    if r is not None:
-        return tuple(float(v) for v in np.abs(r).max(axis=1))
-    maxima = []
-    for left_level, right_level in zip(
-        _level_log_probs(model, pair.left, config),
-        _level_log_probs(model, pair.right, config),
-    ):
-        maxima.append(float(np.abs(left_level - right_level).max()))
-    return tuple(maxima)
+    return tuple(float(np.abs(gap).max()) for gap in _level_gaps(model, pair, config))
 
 
 # ---------------------------------------------------------------------------

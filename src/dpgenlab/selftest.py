@@ -25,7 +25,7 @@ from .generation import (
     Record,
     TagTableRule,
     Vocabulary,
-    cumulative_logit_score,
+    cumulative_logit_scores,
     derive_rng,
     enumerate_message_distribution,
     message_at_index,
@@ -165,8 +165,9 @@ def check_enumeration_table() -> None:
 
 def check_cumulative_score() -> None:
     model = _plain_model((1.0, 0.0))
-    _close(cumulative_logit_score(model, EMPTY, Message((0, 0))), 2.0, 1e-12, "U(aa)")
-    _close(cumulative_logit_score(model, EMPTY, Message((0, 1))), 1.0, 1e-12, "U(ab)")
+    u_aa, u_ab = cumulative_logit_scores(model, EMPTY, np.array([[0, 0], [0, 1]]))
+    _close(u_aa, 2.0, 1e-12, "U(aa)")
+    _close(u_ab, 1.0, 1e-12, "U(ab)")
 
 
 def check_low_temperature_sampling() -> None:
@@ -335,7 +336,8 @@ def check_gibbs_gap() -> None:
     for idx in range(V**L):
         m = message_at_index(idx, V, L)
         product.append(math.exp(message_log_probability(model, EMPTY, m, config)))
-        gibbs_raw.append(math.exp(cumulative_logit_score(model, EMPTY, m) / 0.7))
+        score = cumulative_logit_scores(model, EMPTY, np.array([m.tokens]))[0]
+        gibbs_raw.append(math.exp(score / 0.7))
     z = sum(gibbs_raw)
     want = 0.5 * sum(abs(p - g / z) for p, g in zip(product, gibbs_raw))
     _close(gap, want, 1e-12, "Gibbs gap vs naive recomputation")

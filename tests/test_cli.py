@@ -307,6 +307,45 @@ def test_unwritable_out_path_exits_3(capsys, workdir):
     assert record["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_2(capsys, workdir, jobs):
+    out = workdir / "s.csv"
+    code, _, err = run(
+        capsys,
+        ["sweep", *pair_args(workdir), "--grid", "0.5:1.0:0.5", "--L", "2",
+         "--samples", "5", "--repeats", "1", "--jobs", jobs, "--out", str(out)],
+    )
+    assert code == 2
+    record = json.loads(err)
+    assert record["exit_code"] == 2 and "jobs" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("history_coupling", [1, 2], "history_coupling[0]"),
+        ("history_coupling", [[0.0, 0.0], "row"], "history_coupling[1]"),
+        ("history_coupling", [[0.0, 0.0], [0.0]], "history_coupling[1]"),
+        ("influence", {"kind": "label_bonus", "beta": -1.0}, "influence.beta"),
+        ("influence", {"kind": "label_bonus", "beta": float("nan")}, "influence.beta"),
+        ("influence", {"kind": "label_bonus", "beta": float("inf")}, "influence.beta"),
+        ("influence", {"kind": "tag_table", "beta": -0.5, "table": {}}, "influence.beta"),
+    ],
+)
+def test_malformed_model_field_exits_3_naming_it(capsys, workdir, field, value, where):
+    path = workdir / "model.json"
+    model = json.loads(path.read_text())
+    model[field] = value
+    path.write_text(json.dumps(model))
+    code, _, err = run(capsys, ["optimize", "--model", str(path), "--L", "2", "--lambda", "0.5"])
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "InputError"
+    assert str(path) in record["message"] and where in record["message"]
+
+
 def test_bad_temperature_exits_2(capsys, workdir):
     code, _, err = run(
         capsys, ["analyze", *pair_args(workdir), "--T", "0", "--L", "2"]

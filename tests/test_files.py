@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpgenlab import (
     Dataset,
@@ -145,6 +147,18 @@ def test_model_unknown_influence_kind(tmp_path):
         load_model_spec(path)
 
 
+def test_model_integer_beyond_float_range_is_an_input_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "vocabulary": ["a", "b"],
+        "contexts": [{"id": "default", "base_logits": [[10**400, 0.0]]}],
+        "influence": {"kind": "label_bonus", "beta": 1.0},
+    }))
+    with pytest.raises(InputError, match=r"base_logits\[0\]\[0\]: integer is too large"):
+        load_model_spec(path)
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -191,6 +205,87 @@ def test_dataset_bad_schema_version(tmp_path):
     path.write_text(json.dumps({"schema_version": 2, "records": []}))
     with pytest.raises(InputError, match="nothing was loaded"):
         load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: any JSON value loads or raises InputError, nothing else
+
+NUMBERS = st.floats() | st.integers()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _fields(draw, plausible):
+    """A JSON object whose fields are mostly plausible, sometimes arbitrary or missing."""
+    out = {}
+    for key, strategy in plausible.items():
+        pick = draw(st.integers(0, 19))
+        if pick > 1:
+            out[key] = draw(strategy)
+        elif pick == 1:
+            out[key] = draw(JSON_VALUES)
+    return out
+
+
+@st.composite
+def model_specs(draw):
+    V = draw(st.integers(2, 3))
+    row = st.lists(NUMBERS, min_size=V, max_size=V)
+    context = st.fixed_dictionaries(
+        {"id": st.text(min_size=1, max_size=3), "base_logits": st.lists(row, min_size=1, max_size=3)}
+    )
+    return draw(_fields({
+        "schema_version": st.just(1),
+        "vocabulary": st.lists(st.sampled_from(["a", "b", "c", ""]), min_size=V, max_size=V, unique=True),
+        "contexts": st.lists(context, min_size=1, max_size=3),
+        "influence": _fields({
+            "kind": st.sampled_from(["label_bonus", "tag_table"]),
+            "beta": NUMBERS,
+            "table": st.dictionaries(st.sampled_from(["g0", "g1"]), row, max_size=2),
+        }),
+        "history_coupling": st.none() | st.lists(row | JSON_VALUES, min_size=V, max_size=V),
+    }))
+
+
+DATASET_SPECS = _fields({
+    "schema_version": st.just(1),
+    "records": st.lists(
+        st.tuples(st.text(max_size=3), NUMBERS, st.text(max_size=3)).map(list),
+        max_size=4,
+    ),
+})
+
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _load_or_input_error(loader, value, path):
+    path.write_text(json.dumps(value))
+    try:
+        return loader(path)
+    except InputError:
+        return None
+
+
+@FUZZ
+@given(st.one_of(model_specs(), model_specs(), model_specs(), JSON_VALUES))
+def test_fuzz_model_loader_gives_a_model_or_an_input_error(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz_model.json"
+    loaded = _load_or_input_error(load_model_spec, value, path)
+    assert loaded is None or isinstance(loaded, LogitModel)
+
+
+@FUZZ
+@given(st.one_of(DATASET_SPECS, DATASET_SPECS, DATASET_SPECS, JSON_VALUES))
+def test_fuzz_dataset_loader_gives_a_dataset_or_an_input_error(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz_data.json"
+    loaded = _load_or_input_error(load_dataset, value, path)
+    assert loaded is None or isinstance(loaded, Dataset)
 
 
 # ---------------------------------------------------------------------------

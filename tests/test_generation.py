@@ -19,7 +19,6 @@ from dpgenlab import (
     TagTableRule,
     Vocabulary,
     check_enumerable,
-    cumulative_logit_score,
     cumulative_logit_scores,
     derive_rng,
     enumerate_cumulative_scores,
@@ -28,7 +27,6 @@ from dpgenlab import (
     message_index,
     message_log_probability,
     record_influence_vector,
-    sample_message,
     sample_messages,
     step_logits,
     token_distribution,
@@ -165,34 +163,19 @@ def test_tag_table_unknown_tag_contributes_nothing():
     np.testing.assert_allclose(step_logits(model, data, (), 1), [0.0, 0.0])
 
 
-def test_custom_influence_rule_is_supported_and_capped():
+def test_model_rejects_influence_rules_of_other_types():
     class HalfBonus:
         beta = 0.5
 
         def influence(self, record, token, step):
             return 0.5 if token == record.label else 0.0
 
-    model = LogitModel(
-        vocabulary=Vocabulary(("a", "b")),
-        base_tables={"default": ((0.0, 0.0),)},
-        influence=HalfBonus(),
-    )
-    data = Dataset((Record("b", 1.0, "t"),))
-    np.testing.assert_allclose(step_logits(model, data, (), 1), [0.0, 0.5])
-
-    class Breaker:
-        beta = 0.1
-
-        def influence(self, record, token, step):
-            return 1.0
-
-    bad = LogitModel(
-        vocabulary=Vocabulary(("a", "b")),
-        base_tables={"default": ((0.0, 0.0),)},
-        influence=Breaker(),
-    )
-    with pytest.raises(InputError, match="cap"):
-        step_logits(bad, data, (), 1)
+    with pytest.raises(ConfigError, match="HalfBonus"):
+        LogitModel(
+            vocabulary=Vocabulary(("a", "b")),
+            base_tables={"default": ((0.0, 0.0),)},
+            influence=HalfBonus(),
+        )
 
 
 def test_record_influence_vector_matches_naive():
@@ -304,19 +287,24 @@ def test_cumulative_score_is_temperature_free_and_matches_naive():
         assert naive_cumulative_score(model, pair.left, tuple(row)) == pytest.approx(
             float(score), abs=1e-10
         )
-    assert cumulative_logit_score(model, pair.left, Message(tuple(msgs[0]))) == pytest.approx(
-        float(scores[0])
-    )
 
 
 def test_enumerate_cumulative_scores_order_matches_messages():
-    model = plain_model(coupling=((0.3, -0.2), (0.1, 0.4)))
-    scores = enumerate_cumulative_scores(model, EMPTY, 2)
-    for index, score in enumerate(scores):
-        msg = message_at_index(index, 2, 2)
-        assert naive_cumulative_score(model, EMPTY, msg.tokens) == pytest.approx(
-            float(score), abs=1e-12
-        )
+    cases = [(plain_model(coupling=((0.3, -0.2), (0.1, 0.4))), EMPTY, 2)]
+    rng = np.random.default_rng(700)
+    for with_coupling in (True, False):
+        for _ in range(6):
+            model, pair, length = make_random_instance(rng, with_coupling=with_coupling)
+            cases.append((model, pair.left, length))
+    for model, dataset, length in cases:
+        V = model.vocabulary.size
+        scores = enumerate_cumulative_scores(model, dataset, length)
+        assert scores.shape == (V**length,)
+        for index, score in enumerate(scores):
+            msg = message_at_index(index, V, length)
+            assert naive_cumulative_score(model, dataset, msg.tokens) == pytest.approx(
+                float(score), abs=1e-12
+            )
 
 
 def test_enumeration_cap_is_enforced_with_counts_in_message():
@@ -338,14 +326,6 @@ def test_sampling_is_deterministic_per_seed():
     c = sample_messages(model, EMPTY, config, derive_rng(9, 2), 64)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_single_sample_equals_first_of_batch():
-    model = plain_model(coupling=((0.3, -0.2), (0.1, 0.4)))
-    config = GenerationConfig(0.8, 3)
-    one = sample_message(model, EMPTY, config, derive_rng(17, 0))
-    batch = sample_messages(model, EMPTY, config, derive_rng(17, 0), 5)
-    assert one.tokens == tuple(batch[0])
 
 
 def test_low_temperature_sampling_is_deterministic():

@@ -288,6 +288,40 @@ def test_sweep_rejects_degenerate_requests():
         run_sweep(model, pair, lengths=(1,), temperatures=())
     with pytest.raises(ConfigError):
         run_sweep(model, pair, lengths=(1,), temperatures=(1.0,), repeats=0)
+    for jobs in (0, -1):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_sweep(model, pair, lengths=(1,), temperatures=(1.0,), jobs=jobs)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_sweep_workers_are_clamped_to_the_cell_count(monkeypatch):
+    import dpgenlab.lab as lab
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    serial = small_sweep(lengths=(1,), temperatures=(0.5,), repeats=2).to_csv()
+    clamped = small_sweep(lengths=(1,), temperatures=(0.5,), repeats=2, jobs=10_000)
+    assert RecordingPool.workers == [2]
+    assert clamped.to_csv() == serial
+    small_sweep(lengths=(1,), temperatures=(0.5,), repeats=1, jobs=8)
+    assert RecordingPool.workers == [2]  # one cell runs in this process
 
 
 def test_sweep_result_rejects_duplicate_rows():
