@@ -35,7 +35,6 @@ from .generation import (
     Dataset,
     GenerationConfig,
     Record,
-    derive_rng,
 )
 from .lab import (
     DEFAULT_ALPHA,
@@ -43,6 +42,8 @@ from .lab import (
     DEFAULT_REPEATS,
     DEFAULT_SAMPLES,
     DEFAULT_TEMPERATURES,
+    LABEL_KINDS,
+    _cell_seeds,
     estimate_cell,
     run_sweep,
 )
@@ -339,8 +340,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model, pair, digests = _load_pair(args)
     utility = _parse_utility(args.utility)
-    left_rng = derive_rng(args.seed, 0, 0, 0, 0)
-    right_rng = derive_rng(args.seed, 0, 0, 0, 0 if args.shared_seed else 1)
+    left_rng, right_rng = _cell_seeds(args.seed, 0, 0, 0, args.shared_seed)
     cell = estimate_cell(
         model,
         pair,
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--L", type=int, required=True, help="message length")
     estimate.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     estimate.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    estimate.add_argument("--labels", choices=("identity", "first_token"), default="identity")
+    estimate.add_argument("--labels", choices=LABEL_KINDS, default="identity")
     estimate.add_argument("--utility", default="exp_logit_plus_length")
     estimate.add_argument("--seed", type=int, default=0)
     estimate.add_argument(
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sweep.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     sweep.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    sweep.add_argument("--labels", choices=("identity", "first_token"), default="identity")
+    sweep.add_argument("--labels", choices=LABEL_KINDS, default="identity")
     sweep.add_argument("--utility", default="exp_logit_plus_length")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--shared-seed", action="store_true")

@@ -7,6 +7,13 @@ epsilon, total variation, and Jensen-Shannon divergence (natural log).
 Alongside the divergences, each cell records the mean cumulative score, the
 mean utility, and their sample covariance on the left arm.
 
+A label space is an index map defined by (kind, vocabulary, length): a
+message's label is its lexicographic rank (``identity``, V**L labels) or its
+first token's index (``first_token``, V labels). Sampling, smoothing and the
+divergences work on indices alone; the label strings (tokens joined by
+commas) are rendered only when ``LabelSpace.labels`` is read, and no output
+reads them, so tokens may contain commas.
+
 Every (temperature, length, repeat) cell owns rng streams derived from the
 root seed and the cell's indices, so cells are order-independent and can run
 in parallel without changing results.
@@ -14,8 +21,10 @@ in parallel without changing results.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -26,7 +35,6 @@ from .generation import (
     Dataset,
     GenerationConfig,
     LogitModel,
-    Message,
     MessageDistribution,
     Vocabulary,
     derive_rng,
@@ -38,6 +46,7 @@ from .privacy import NeighborPair
 from .utility import UtilitySpec
 
 IDENTITY_LABEL_CAP = 4096
+LABEL_KINDS = ("identity", "first_token")
 
 METRICS = ("empirical_epsilon", "tv", "js", "mean_U", "mean_info_score", "cov_nu_U")
 
@@ -54,49 +63,42 @@ CSV_HEADER = "temperature,length,metric,mean,std,repeats,samples,alpha,seed"
 # label spaces
 
 
+def _message_ranks(messages: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Lexicographic rank of each row of an (n, L) token-index array."""
+    return messages @ vocab_size ** np.arange(messages.shape[1] - 1, -1, -1)
+
+
 @dataclass(frozen=True)
 class LabelSpace:
-    """Finite, ordered label set plus the projection from messages onto it."""
+    """Finite, ordered label set: an index map from messages onto labels."""
 
     kind: str
-    labels: tuple[str, ...]
     vocabulary: Vocabulary
     length: int
 
     def __post_init__(self) -> None:
-        if len(self.labels) < 2:
-            raise ConfigError(f"label space needs at least 2 labels, got {len(self.labels)}")
-        if len(set(self.labels)) != len(self.labels):
-            raise ConfigError("labels must be distinct")
+        if self.kind not in LABEL_KINDS:
+            raise ConfigError(
+                f"unknown label space {self.kind!r}; choose identity or first_token"
+            )
+        if self.kind == "identity" and self.size > IDENTITY_LABEL_CAP:
+            raise ConfigError(
+                f"identity label space would need {self.size} labels "
+                f"(cap {IDENTITY_LABEL_CAP}); use first_token instead"
+            )
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        V = self.vocabulary.size
+        return V**self.length if self.kind == "identity" else V
 
-    @classmethod
-    def identity(cls, vocabulary: Vocabulary, length: int) -> "LabelSpace":
-        """One label per message, in lexicographic order."""
-        states = vocabulary.size**length
-        if states > IDENTITY_LABEL_CAP:
-            raise ConfigError(
-                f"identity label space would need {states} labels "
-                f"(cap {IDENTITY_LABEL_CAP}); use first_token instead"
-            )
-        labels = []
-        for idx in range(states):
-            digits = []
-            rest = idx
-            for _ in range(length):
-                digits.append(rest % vocabulary.size)
-                rest //= vocabulary.size
-            labels.append(",".join(vocabulary.tokens[d] for d in reversed(digits)))
-        return cls(kind="identity", labels=tuple(labels), vocabulary=vocabulary, length=length)
-
-    @classmethod
-    def first_token(cls, vocabulary: Vocabulary, length: int) -> "LabelSpace":
-        return cls(
-            kind="first_token", labels=tuple(vocabulary.tokens),
-            vocabulary=vocabulary, length=length,
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Label strings in index order: comma-joined tokens, or first tokens."""
+        if self.kind == "first_token":
+            return self.vocabulary.tokens
+        return tuple(
+            ",".join(m) for m in itertools.product(self.vocabulary.tokens, repeat=self.length)
         )
 
     def project_batch(self, messages: np.ndarray) -> np.ndarray:
@@ -107,16 +109,8 @@ class LabelSpace:
                 f"messages must have shape (n, {self.length}), got {messages.shape}"
             )
         if self.kind == "identity":
-            V = self.vocabulary.size
-            weights = V ** np.arange(self.length - 1, -1, -1)
-            return messages @ weights
-        if self.kind == "first_token":
-            return messages[:, 0].copy()
-        raise ConfigError(f"unknown label space kind {self.kind!r}")
-
-    def project(self, message: Message) -> str:
-        idx = int(self.project_batch(np.asarray([message.tokens]))[0])
-        return self.labels[idx]
+            return _message_ranks(messages, self.vocabulary.size)
+        return messages[:, 0].copy()
 
     def project_distribution(self, dist: MessageDistribution) -> np.ndarray:
         """Exact label probabilities induced by a message distribution."""
@@ -125,18 +119,11 @@ class LabelSpace:
         probs = dist.probs()
         if self.kind == "identity":
             return probs
-        if self.kind == "first_token":
-            V = self.vocabulary.size
-            return probs.reshape(V, -1).sum(axis=1)
-        raise ConfigError(f"unknown label space kind {self.kind!r}")
+        return probs.reshape(self.vocabulary.size, -1).sum(axis=1)
 
 
 def make_label_space(kind: str, vocabulary: Vocabulary, length: int) -> LabelSpace:
-    if kind == "identity":
-        return LabelSpace.identity(vocabulary, length)
-    if kind == "first_token":
-        return LabelSpace.first_token(vocabulary, length)
-    raise ConfigError(f"unknown label space {kind!r}; choose identity or first_token")
+    return LabelSpace(kind, vocabulary, length)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +134,7 @@ def make_label_space(kind: str, vocabulary: Vocabulary, length: int) -> LabelSpa
 class SmoothedDistribution:
     """Laplace-smoothed label distribution: P(y) = (c(y) + a) / (n + a*|Y|)."""
 
-    labels: tuple[str, ...]
+    label_space: LabelSpace
     probs: np.ndarray
     sample_count: int
     alpha: float
@@ -156,13 +143,12 @@ class SmoothedDistribution:
         probs = np.asarray(self.probs, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if probs.shape != (len(self.labels),):
-            raise ArgumentError(
-                f"probs shape {probs.shape} does not match {len(self.labels)} labels"
-            )
+        size = self.label_space.size
+        if probs.shape != (size,):
+            raise ArgumentError(f"probs shape {probs.shape} does not match {size} labels")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ArgumentError(f"smoothed probabilities sum to {float(probs.sum())!r}, not 1")
-        floor = self.alpha / (self.sample_count + self.alpha * len(self.labels))
+        floor = self.alpha / (self.sample_count + self.alpha * size)
         if float(probs.min()) < floor - 1e-15:
             raise ArgumentError("smoothed probability fell below the smoothing floor")
 
@@ -194,7 +180,7 @@ def laplace_smooth(
         raise ArgumentError(f"counts sum to {total}, expected sample_count = {sample_count}")
     probs = (vec + alpha) / (sample_count + alpha * label_space.size)
     return SmoothedDistribution(
-        labels=label_space.labels, probs=probs, sample_count=sample_count, alpha=alpha
+        label_space=label_space, probs=probs, sample_count=sample_count, alpha=alpha
     )
 
 
@@ -206,7 +192,7 @@ def _paired_probs(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndar
     # exact (unsmoothed) distributions; label spaces must match when both
     # sides carry one.
     if isinstance(p, SmoothedDistribution) and isinstance(q, SmoothedDistribution):
-        if p.labels != q.labels:
+        if p.label_space != q.label_space:
             raise ArgumentError("distributions are over different label spaces")
     pv = p.probs if isinstance(p, SmoothedDistribution) else np.asarray(p, dtype=float)
     qv = q.probs if isinstance(q, SmoothedDistribution) else np.asarray(q, dtype=float)
@@ -216,10 +202,15 @@ def _paired_probs(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndar
 
 
 def empirical_epsilon(p: Distribution, q: Distribution) -> float:
-    """Largest absolute log-ratio max_y |log P(y) - log Q(y)|."""
+    """Largest absolute log-ratio max_y |log P(y) - log Q(y)|.
+
+    A label with probability 0 on both sides counts 0; one with probability 0
+    on one side only makes the result inf.
+    """
     pv, qv = _paired_probs(p, q)
+    support = (pv > 0) | (qv > 0)
     with np.errstate(divide="ignore"):
-        return float(np.abs(np.log(pv) - np.log(qv)).max())
+        return float(np.abs(np.log(pv[support]) - np.log(qv[support])).max(initial=0.0))
 
 
 def total_variation(p: Distribution, q: Distribution) -> float:
@@ -273,6 +264,7 @@ def estimate_cell(
         raise ConfigError(f"samples must be >= 1, got {samples}")
     config = GenerationConfig(temperature=temperature, length=length)
     label_space = make_label_space(label_kind, model.vocabulary, length)
+    utility.check_table_size(model.vocabulary.size**length)
 
     left_msgs = sample_messages(model, pair.left, config, left_rng, samples)
     right_msgs = sample_messages(model, pair.right, config, right_rng, samples)
@@ -285,12 +277,8 @@ def estimate_cell(
     )
 
     scores = cumulative_logit_scores(model, pair.left, left_msgs)
-    if utility.kind == "table":
-        V = model.vocabulary.size
-        weights = V ** np.arange(length - 1, -1, -1)
-        values = utility.values_for(scores, length, message_indices=left_msgs @ weights)
-    else:
-        values = utility.values_for(scores, length)
+    ranks = _message_ranks(left_msgs, model.vocabulary.size) if utility.kind == "table" else None
+    values = utility.values_for(scores, length, message_indices=ranks)
     if samples > 1:
         cov = float(np.cov(values, scores, ddof=1)[0, 1])
     else:
@@ -320,7 +308,7 @@ def exact_smoothed_distribution(
     )
     probs = (samples * label_probs + alpha) / (samples + alpha * label_space.size)
     return SmoothedDistribution(
-        labels=label_space.labels, probs=probs, sample_count=samples, alpha=alpha
+        label_space=label_space, probs=probs, sample_count=samples, alpha=alpha
     )
 
 
@@ -424,8 +412,9 @@ def run_sweep(
         utility = UtilitySpec.exp_logit_plus_length()
     lengths = tuple(int(x) for x in lengths)
     temperatures = tuple(float(t) for t in temperatures)
-    for length in lengths:
-        make_label_space(label_kind, model.vocabulary, length)  # fail early
+    for length in lengths:  # fail before any cell runs
+        make_label_space(label_kind, model.vocabulary, length)
+        utility.check_table_size(model.vocabulary.size**length)
 
     tasks = [
         (model, pair, temperatures, lengths, samples, alpha, label_kind, utility,

@@ -70,7 +70,7 @@ def _check_version(data: Any, expected: int, what: str, path: Path) -> None:
     if not isinstance(data, dict):
         raise InputError(f"{what} file {path} must contain a JSON object at the top level")
     version = data.get("schema_version")
-    if version != expected:
+    if isinstance(version, bool) or not isinstance(version, int) or version != expected:
         raise InputError(
             f"{what} file {path} has unsupported schema_version {version!r} "
             f"(expected {expected}); nothing was loaded"

@@ -454,7 +454,7 @@ def check_closed_form_matches_enumeration() -> None:
 
 
 def _two_label_space() -> LabelSpace:
-    return LabelSpace.first_token(Vocabulary(("a", "b")), 1)
+    return LabelSpace("first_token", Vocabulary(("a", "b")), 1)
 
 
 def check_laplace_smoothing() -> None:
@@ -506,7 +506,7 @@ def check_estimator_matches_exact_smoothing() -> None:
     model, pair = _epsilon_instance()
     samples, alpha = 100_000, 1.0
     config_grid = [round(0.1 * i, 10) for i in range(1, 21)]
-    space = LabelSpace.identity(model.vocabulary, 2)
+    space = LabelSpace("identity", model.vocabulary, 2)
     for t_idx, temperature in enumerate(config_grid):
         config = GenerationConfig(temperature, 2)
         exact = exact_smoothed_distribution(model, pair.left, config, space, samples, alpha)

@@ -98,6 +98,14 @@ class UtilitySpec:
     def table(cls, values: Iterable[float]) -> "UtilitySpec":
         return cls(kind="table", table_values=tuple(values))
 
+    def check_table_size(self, messages: int) -> None:
+        """Raise ArgumentError unless a table utility has one entry per message."""
+        if self.kind == "table" and len(self.table_values) != messages:
+            raise ArgumentError(
+                f"table utility has {len(self.table_values)} entries but the message "
+                f"space has {messages} messages"
+            )
+
     def values_for(
         self,
         scores: np.ndarray,
@@ -119,11 +127,7 @@ class UtilitySpec:
         else:
             table = np.asarray(self.table_values, dtype=float)
             if message_indices is None:
-                if scores.shape != table.shape:
-                    raise ArgumentError(
-                        f"table utility has {table.shape[0]} entries but {scores.shape[0]} "
-                        "messages were scored; pass message_indices for sampled messages"
-                    )
+                self.check_table_size(scores.shape[0])
                 out = table.copy()
             else:
                 indices = np.asarray(message_indices, dtype=int)

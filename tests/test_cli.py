@@ -168,8 +168,41 @@ def test_estimate_shared_seed_zeroes_divergences(capsys, workdir):
     assert doc["metrics"]["tv"] == 0.0
 
 
+def test_table_of_the_wrong_size_exits_2_in_estimate_as_in_optimize(capsys, workdir):
+    estimate = ["estimate", *pair_args(workdir), "--T", "0.5", "--L", "2", "--seed", "0"]
+    optimize = ["optimize", "--model", str(workdir / "model.json"), "--L", "2",
+                "--lambda", "0.5"]
+    for table in ("table:1,2,3", "table:0,1,2,3,4,5,6"):
+        messages = set()
+        for argv in ([*estimate, "--samples", "5"], [*estimate, "--samples", "20000"], optimize):
+            code, _, err = run(capsys, [*argv, "--utility", table])
+            assert code == 2
+            messages.add(json.loads(err)["message"])
+        assert len(messages) == 1
+    assert payload(capsys, [*estimate, "--samples", "5", "--utility", "table:1,2,3,4"])
+    assert payload(capsys, [*optimize, "--utility", "table:1,2,3,4"])
+
+
 # ---------------------------------------------------------------------------
 # sweep
+
+
+def test_sweep_accepts_tokens_containing_commas(capsys, workdir):
+    model = json.loads((workdir / "model.json").read_text())
+    model["vocabulary"] = ["a", "a,a"]
+    (workdir / "model.json").write_text(json.dumps(model))
+    data = {"schema_version": 1, "records": [["a,a", 1.0, "r0"]]}
+    (workdir / "data.json").write_text(json.dumps(data))
+    out = workdir / "s.csv"
+    code, _, err = run(
+        capsys,
+        ["sweep", "--model", str(workdir / "model.json"), "--data", str(workdir / "data.json"),
+         "--neighbor-index", "0", "--neighbor-record", "a,1.0,r0", "--grid", "0.5:1.0:0.5",
+         "--L", "1,2", "--samples", "20", "--repeats", "1", "--labels", "identity",
+         "--jobs", "1", "--out", str(out)],
+    )
+    assert code == 0, err
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 6
 
 
 def test_sweep_writes_expected_rows_and_replays_identically(capsys, workdir):

@@ -79,9 +79,10 @@ def test_model_floats_survive_exactly(tmp_path):
 
 def test_model_bad_schema_version(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(InputError, match="nothing was loaded"):
-        load_model_spec(path)
+    for version in (99, True, 1.0, "1"):
+        path.write_text(json.dumps({"schema_version": version}))
+        with pytest.raises(InputError, match="nothing was loaded"):
+            load_model_spec(path)
 
 
 def test_model_missing_file():
@@ -202,9 +203,10 @@ def test_dataset_nonnumeric_weight(tmp_path):
 
 def test_dataset_bad_schema_version(tmp_path):
     path = tmp_path / "data.json"
-    path.write_text(json.dumps({"schema_version": 2, "records": []}))
-    with pytest.raises(InputError, match="nothing was loaded"):
-        load_dataset(path)
+    for version in (2, True, 1.0, "1"):
+        path.write_text(json.dumps({"schema_version": version, "records": [["a", 1.0, ""]]}))
+        with pytest.raises(InputError, match="nothing was loaded"):
+            load_dataset(path)
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,20 @@ def test_divergences_reject_mismatched_inputs():
 
 
 def test_smoothed_distribution_validation():
-    with pytest.raises(ArgumentError):
-        SmoothedDistribution(
-            labels=("a", "b"), probs=np.array([0.9, 0.3]), sample_count=1, alpha=1.0
-        )
+    for probs in ([0.9, 0.3], [0.5, 0.25, 0.25], [1.0, 0.0]):  # sum, shape, floor
+        with pytest.raises(ArgumentError):
+            SmoothedDistribution(
+                label_space=space(), probs=np.array(probs), sample_count=1, alpha=1.0
+            )
+
+
+def test_empirical_epsilon_on_exact_vectors_with_zero_labels():
+    # a label no arm can produce counts 0; one only a single arm produces is inf
+    assert empirical_epsilon([0.5, 0.5, 0.0], [0.25, 0.75, 0.0]) == pytest.approx(
+        math.log(2), abs=1e-12
+    )
+    assert empirical_epsilon([0.5, 0.5, 0.0], [0.5, 0.25, 0.25]) == math.inf
+    assert empirical_epsilon([1.0, 0.0], [1.0, 0.0]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +134,6 @@ def test_first_token_projection_marginalizes():
     assert space(length=2, kind="first_token").labels == ("a", "b")
 
 
-def test_project_single_message_agrees_with_batch():
-    from dpgenlab import Message
-
-    joined = space(length=2)
-    assert joined.project(Message((1, 0))) == "b,a"
-
-
 def test_identity_cap_is_enforced():
     with pytest.raises(ConfigError, match="first_token"):
         make_label_space("identity", VOCAB, 13)
@@ -142,12 +145,43 @@ def test_unknown_label_kind():
 
 
 def test_label_space_validation():
-    with pytest.raises(ConfigError):
-        LabelSpace(kind="identity", labels=("a",), vocabulary=VOCAB, length=1)
-    with pytest.raises(ConfigError):
-        LabelSpace(kind="identity", labels=("a", "a"), vocabulary=VOCAB, length=1)
+    with pytest.raises(ConfigError, match="unknown label space"):
+        LabelSpace("last_token", VOCAB, 2)
+    with pytest.raises(ConfigError, match="first_token"):
+        LabelSpace("identity", VOCAB, 13)
+    assert LabelSpace("identity", VOCAB, 12).size == 4096
+    assert LabelSpace("first_token", VOCAB, 13).size == 2
+    assert LabelSpace("identity", VOCAB, 2) == space(length=2)
     with pytest.raises(ArgumentError):
         space(length=2).project_batch(np.zeros((3, 1), dtype=int))
+
+
+@pytest.mark.parametrize("kind", ["identity", "first_token"])
+def test_label_strings_match_projected_indices(kind):
+    vocab = Vocabulary(("x", "y,z", "w"))
+    rng = np.random.default_rng(0)
+    for length in (1, 2, 4):
+        label_space = LabelSpace(kind, vocab, length)
+        assert len(label_space.labels) == label_space.size
+        messages = rng.integers(0, vocab.size, size=(50, length))
+        labelled = messages if kind == "identity" else messages[:, :1]
+        want = [",".join(vocab.tokens[t] for t in m) for m in labelled]
+        assert [label_space.labels[i] for i in label_space.project_batch(messages)] == want
+
+
+def test_sampling_path_never_renders_label_strings(monkeypatch):
+    def refuse(self):
+        raise AssertionError("label strings were rendered")
+
+    monkeypatch.setattr(LabelSpace, "labels", property(refuse))
+    small_sweep()
+    small_sweep(label_kind="first_token")
+    model, pair = toy_pair()
+    for kind in ("identity", "first_token"):
+        estimate_cell(
+            model, pair, 0.5, 2, 50, 1.0, kind, UtilitySpec.table(range(4)),
+            derive_rng(0, 0, 0, 0, 0), derive_rng(0, 0, 0, 0, 1),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +223,37 @@ def test_cell_covariance_nonnegative_for_monotone_utility():
             derive_rng(11, 0, 0, repeat, 0), derive_rng(11, 0, 0, repeat, 1),
         )
         assert cell.cov_nu_U >= 0.0
+
+
+def test_cell_table_utility_reads_the_message_rank():
+    model, pair = toy_pair()
+    cell = estimate_cell(
+        model, pair, 0.8, 2, 300, 1.0, "first_token", UtilitySpec.table(range(4)),
+        derive_rng(9, 0, 0, 0, 0), derive_rng(9, 0, 0, 0, 1),
+    )
+    from dpgenlab import sample_messages
+
+    msgs = sample_messages(
+        model, pair.left, GenerationConfig(0.8, 2), derive_rng(9, 0, 0, 0, 0), 300
+    )
+    assert cell.mean_info_score == float(space(length=2).project_batch(msgs).mean())
+
+
+def test_table_utility_of_the_wrong_size_is_rejected_up_front(monkeypatch):
+    import dpgenlab.lab as lab
+
+    model, pair = toy_pair()
+    for values in ((1.0, 2.0, 3.0), range(7)):
+        with pytest.raises(ArgumentError, match="entries but the message space has 4"):
+            estimate_cell(
+                model, pair, 0.5, 2, 1, 1.0, "identity", UtilitySpec.table(values),
+                derive_rng(0, 0, 0, 0, 0), derive_rng(0, 0, 0, 0, 1),
+            )
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    with pytest.raises(ArgumentError, match="entries"):
+        small_sweep(lengths=(2,), utility=UtilitySpec.table((1.0, 2.0, 3.0)), jobs=2)
+    assert RecordingPool.workers == []
 
 
 def test_cell_rejects_empty_sample():
