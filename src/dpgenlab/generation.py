@@ -20,7 +20,10 @@ Every exact table comes from one walk over the prefix tree, ``_prefix_walk``:
 per step it yields the history-free logit row and the summed history
 coupling of every prefix. Without history coupling that sum is one (1, V)
 zero row that every consumer broadcasts, so the per-step levels are (1, V)
-rows and the message tables are outer sums of them.
+rows and the message tables are outer sums of them. Every exact level is
+normalised by one numpy max-shift, ``_log_normaliser``; scipy's logsumexp
+stays in the sampler, whose bytes depend on it, and in the normalisation
+checks and single-message references that tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ class LabelBonusRule:
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ConfigError(f"influence cap beta must be finite and >= 0, got {self.beta!r}")
 
-    def influence_vector(self, dataset: Dataset, vocabulary: Vocabulary, step: int) -> np.ndarray:
+    def influence_vector(self, dataset: Dataset, vocabulary: Vocabulary) -> np.ndarray:
         out = np.zeros(vocabulary.size)
         for rec in dataset.records:
             out[vocabulary.index(rec.label)] += self.beta
@@ -182,7 +185,7 @@ class TagTableRule:
                         f"declared cap beta = {self.beta}"
                     )
 
-    def influence_vector(self, dataset: Dataset, vocabulary: Vocabulary, step: int) -> np.ndarray:
+    def influence_vector(self, dataset: Dataset, vocabulary: Vocabulary) -> np.ndarray:
         out = np.zeros(vocabulary.size)
         for rec in dataset.records:
             row = self.table.get(rec.tag)
@@ -414,26 +417,26 @@ def message_at_index(index: int, vocab_size: int, length: int) -> Message:
 # logit assembly
 
 
-def _influence_vector(model: LogitModel, dataset: Dataset, step: int) -> np.ndarray:
-    """Summed per-record influence for every token, validated against the cap."""
+def _influence_vector(model: LogitModel, dataset: Dataset) -> np.ndarray:
+    """Summed per-record influence for every token, the same at every step."""
     vocab = model.vocabulary
     for i, rec in enumerate(dataset.records):
         if rec.label not in vocab:
             raise InputError(
                 f"record {i} has label {rec.label!r} which is not a vocabulary token"
             )
-    return model.influence.influence_vector(dataset, vocab, step)
+    return model.influence.influence_vector(dataset, vocab)
 
 
-def record_influence_vector(model: LogitModel, record: Record, step: int) -> np.ndarray:
-    """Influence of a single record on every token's logit at ``step``."""
-    return _influence_vector(model, Dataset((record,)), step)
+def record_influence_vector(model: LogitModel, record: Record) -> np.ndarray:
+    """Influence of a single record on every token's logit."""
+    return _influence_vector(model, Dataset((record,)))
 
 
 def path_logits(model: LogitModel, dataset: Dataset, length: int) -> np.ndarray:
     """History-free part of the logits: base + influence, shape (L, V)."""
-    rows = [model.base_row(k) + _influence_vector(model, dataset, k) for k in range(1, length + 1)]
-    out = np.stack(rows)
+    base = np.stack([model.base_row(k) for k in range(1, length + 1)])
+    out = base + _influence_vector(model, dataset)
     if not np.all(np.isfinite(out)):
         raise ModelEvaluationError("logit evaluation produced a non-finite value")
     return out
@@ -453,7 +456,7 @@ def step_logits(
     for t in history:
         if not 0 <= int(t) < V:
             raise ArgumentError(f"history token index {t} out of range for vocabulary of {V}")
-    logits = model.base_row(step) + _influence_vector(model, dataset, step)
+    logits = model.base_row(step) + _influence_vector(model, dataset)
     coupling = model._coupling_array
     if coupling is not None and history:
         logits = logits + coupling[np.asarray(history, dtype=int)].sum(axis=0)
@@ -534,6 +537,16 @@ def _prefix_walk(
             acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
 
 
+def _log_normaliser(scaled: np.ndarray) -> np.ndarray:
+    """log-sum-exp over the last axis, kept as a length-1 axis.
+
+    A numpy max-shift: on the small rows of a level, scipy's logsumexp costs
+    more in per-call overhead than in arithmetic.
+    """
+    top = scaled.max(axis=-1, keepdims=True)
+    return top + np.log(np.exp(scaled - top).sum(axis=-1, keepdims=True))
+
+
 def _level_log_probs(
     model: LogitModel, dataset: Dataset, config: GenerationConfig
 ) -> Iterator[np.ndarray]:
@@ -543,17 +556,17 @@ def _level_log_probs(
     is the log next-token distribution after the prefix of lexicographic rank
     i. Prefix order is preserved across levels, so flattening accumulates the
     lexicographic message table. Without history coupling every level is one
-    (1, |V|) row, and all L rows are normalised in a single call.
+    (1, |V|) row shared by all prefixes. A temperature so low that the scaled
+    logits overflow raises ModelEvaluationError.
     """
     T = config.temperature
-    walk = _prefix_walk(model, dataset, config.length, config.enum_cap)
-    if model.history_coupling is None:
-        scaled = np.stack([row for row, _ in walk]) / T
-        yield from (scaled - logsumexp(scaled, axis=1, keepdims=True))[:, None, :]
-        return
-    for row, acc in walk:
-        scaled = (row[None, :] + acc) / T
-        yield scaled - logsumexp(scaled, axis=1, keepdims=True)
+    for row, acc in _prefix_walk(model, dataset, config.length, config.enum_cap):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = (row[None, :] + acc) / T
+            level = scaled - _log_normaliser(scaled)
+        if not np.isfinite(level).all():
+            raise ModelEvaluationError(f"logits scaled by 1/T at T = {T!r} are not finite")
+        yield level
 
 
 def enumerate_message_distribution(

@@ -25,7 +25,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import rel_entr
@@ -154,25 +154,18 @@ class SmoothedDistribution:
 
 
 def laplace_smooth(
-    counts: Union[Mapping[str, int], Sequence[int], np.ndarray],
+    counts: Union[Sequence[int], np.ndarray],
     sample_count: int,
     alpha: float,
     label_space: LabelSpace,
 ) -> SmoothedDistribution:
-    """Add-alpha smoothing of label counts into a strictly positive distribution."""
+    """Add-alpha smoothing of per-label counts, in label-index order, into a
+    strictly positive distribution."""
     if not np.isfinite(alpha) or alpha <= 0:
         raise ConfigError(f"alpha must be finite and > 0, got {alpha!r}")
-    if isinstance(counts, Mapping):
-        for label in counts:
-            if label not in label_space.labels:
-                raise ArgumentError(f"count for unknown label {label!r}")
-        vec = np.array([float(counts.get(label, 0)) for label in label_space.labels])
-    else:
-        vec = np.asarray(counts, dtype=float)
-        if vec.shape != (label_space.size,):
-            raise ArgumentError(
-                f"counts shape {vec.shape} does not match {label_space.size} labels"
-            )
+    vec = np.asarray(counts, dtype=float)
+    if vec.shape != (label_space.size,):
+        raise ArgumentError(f"counts shape {vec.shape} does not match {label_space.size} labels")
     if np.any(vec < 0):
         raise ArgumentError("counts must be nonnegative")
     total = float(vec.sum())

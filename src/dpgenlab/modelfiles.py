@@ -207,13 +207,11 @@ def _influence_to_jsonable(model: LogitModel) -> dict:
     rule = model.influence
     if isinstance(rule, LabelBonusRule):
         return {"kind": "label_bonus", "beta": rule.beta}
-    if isinstance(rule, TagTableRule):
-        return {
-            "kind": "tag_table",
-            "beta": rule.beta,
-            "table": {tag: list(row) for tag, row in rule.table.items()},
-        }
-    raise InputError(f"cannot serialise influence rule of type {type(rule).__name__}")
+    return {
+        "kind": "tag_table",
+        "beta": rule.beta,
+        "table": {tag: list(row) for tag, row in rule.table.items()},
+    }
 
 
 def load_dataset(path: Union[str, Path]) -> Dataset:

@@ -11,15 +11,15 @@ the whole L-step message by 2*Delta*L/T. Hockey-stick divergence converts an
 epsilon into the smallest admissible delta:
 delta(eps) = sum_m max(P(m) - e^eps * Q(m), 0).
 
-The exact counterparts read the two arms' prefix walks level by level, so
-the per-step epsilon is the largest gap |p_k - q_k| of each level. With
-history coupling a level holds one row per prefix and the message epsilon is
-found on the enumerated message tables. Without it every level is a single
-(1, V) row, the message law is a product of per-step softmaxes, and the
-log-ratio of a message is a sum of per-step terms r_k(w_k) = log p_k(w_k) -
-log q_k(w_k): the exact message epsilon is a closed form over the (L, V)
-table r, at O(L*V) cost, and the message tables that hockey-stick delta
-needs are outer sums of the per-step rows. Both enforce the same
+The exact counterparts read the gaps p_k - q_k between the two arms' level
+log-probabilities, one level per step. The per-step epsilon is the largest
+|gap| of each level. The log-ratio of a message is the sum of the gaps along
+its path through the prefix tree, so the message epsilon is a max-plus pass
+over the levels, backward from the last, and its witness follows the argmaxes
+forward from the root. A level holds one row per prefix under history
+coupling and one shared (1, V) row without it; then the pass reduces to
+max(sum_k max_w r_k, sum_k max_w -r_k) at O(L*V) cost. Only hockey-stick
+delta enumerates the two message tables. Every path enforces the same
 enumeration cap.
 """
 
@@ -41,7 +41,6 @@ from .generation import (
     Record,
     check_enumerable,
     enumerate_message_distribution,
-    message_at_index,
     record_influence_vector,
     step_logits,
     token_distribution,
@@ -96,18 +95,6 @@ class Sensitivity:
     def __post_init__(self) -> None:
         if not np.isfinite(self.delta_logit) or self.delta_logit < 0:
             raise ArgumentError(f"delta_logit must be finite and >= 0, got {self.delta_logit!r}")
-
-
-@dataclass(frozen=True)
-class PrivacyLoss:
-    epsilon: float
-    delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ArgumentError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ArgumentError(f"delta must lie in [0, 1], got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -176,19 +163,16 @@ def logit_sensitivity(
 
     ``analytic`` exploits record-additivity: base logits and history coupling
     cancel between neighbors, so Delta is the largest influence difference of
-    the replaced record over tokens and steps. ``enumerate`` recomputes the
-    full logits for every step, history, and token; it exists as an
-    independent cross-check and requires enumerable history spaces.
+    the replaced record over tokens, the same at every step. ``enumerate``
+    recomputes the full logits for every step, history, and token; it exists
+    as an independent cross-check and requires enumerable history spaces.
     """
     if method == "analytic":
-        best = 0.0
-        for k in range(1, config.length + 1):
-            diff = np.abs(
-                record_influence_vector(model, pair.new_record, k)
-                - record_influence_vector(model, pair.old_record, k)
-            )
-            best = max(best, float(diff.max()))
-        return Sensitivity(delta_logit=best, attained_at="analytic")
+        diff = np.abs(
+            record_influence_vector(model, pair.new_record)
+            - record_influence_vector(model, pair.old_record)
+        )
+        return Sensitivity(delta_logit=float(diff.max()), attained_at="analytic")
     if method == "enumerate":
         V = model.vocabulary.size
         check_enumerable(V, max(config.length - 1, 1), config.enum_cap)
@@ -236,13 +220,29 @@ def _level_gaps(
         yield p - q
 
 
-def _step_log_ratios(
-    model: LogitModel, pair: NeighborPair, config: GenerationConfig
-) -> np.ndarray | None:
-    """r[k, w] = log p_k(w) - log q_k(w) for a coupling-free model, else None."""
-    if model.history_coupling is not None:
-        return None
-    return np.concatenate(list(_level_gaps(model, pair, config)))
+def _max_path(levels: Sequence[np.ndarray]) -> tuple[float, tuple[int, ...]]:
+    """Largest sum of level entries along one message's path, with the
+    lexicographically smallest message attaining it.
+
+    Level k holds one row per prefix of length k-1, or one row that every
+    prefix shares. The backward pass adds to each entry the best sum over
+    the steps after it (the next level's row maxima, reshaped to this
+    level's rows) and keeps the first argmax of each row; the witness then
+    follows the argmaxes forward from the root.
+    """
+    best = np.zeros(len(levels[-1]))
+    choices = []
+    for level in reversed(levels):
+        total = level + best.reshape(len(level), -1)
+        choices.append(total.argmax(axis=1))
+        best = total.max(axis=1)
+    V = levels[0].shape[1]
+    row, witness = 0, []
+    for choice in reversed(choices):
+        w = int(choice[row % len(choice)])  # a shared row serves every prefix
+        witness.append(w)
+        row = row * V + w
+    return float(best[0]), tuple(witness)
 
 
 def message_epsilon_exact(
@@ -250,24 +250,14 @@ def message_epsilon_exact(
 ) -> tuple[float, Message]:
     """Largest |log P_left(m) - log P_right(m)| over all messages, with witness.
 
-    Without history coupling the maximum is max(sum_k max_w r_k, sum_k max_w
-    -r_k), attained by the per-step first argmax. On a tie between the two
-    signs the lexicographically smaller witness wins, as it does in the
-    enumeration.
+    The maximum is taken over both signs of the gaps; on a tie between the
+    two signs the lexicographically smaller witness wins, as it does in an
+    enumeration of the message tables.
     """
-    r = _step_log_ratios(model, pair, config)
-    if r is not None:
-        sides = [
-            (float(s.max(axis=1).sum()), tuple(int(w) for w in s.argmax(axis=1)))
-            for s in (r, -r)
-        ]
-        eps = max(e for e, _ in sides)
-        return eps, Message(min(w for e, w in sides if e == eps))
-    p = enumerate_message_distribution(model, pair.left, config).log_probs
-    q = enumerate_message_distribution(model, pair.right, config).log_probs
-    gaps = np.abs(p - q)
-    idx = int(gaps.argmax())
-    return float(gaps[idx]), message_at_index(idx, model.vocabulary.size, config.length)
+    gaps = list(_level_gaps(model, pair, config))
+    sides = [_max_path(gaps), _max_path([-gap for gap in gaps])]
+    eps = max(e for e, _ in sides)
+    return eps, Message(min(w for e, w in sides if e == eps))
 
 
 def per_step_max_epsilons(
@@ -308,13 +298,6 @@ def temperature_floor_for_budget(
     if not np.isfinite(epsilon_budget) or epsilon_budget <= 0:
         raise ConfigError(f"epsilon budget must be finite and > 0, got {epsilon_budget!r}")
     return 2.0 * delta_logit * length / epsilon_budget
-
-
-def compose_privacy(steps: Sequence[PrivacyLoss]) -> PrivacyLoss:
-    """Additive composition: epsilons add, deltas add and saturate at 1."""
-    total_eps = float(sum(s.epsilon for s in steps))
-    total_delta = float(min(1.0, sum(s.delta for s in steps)))
-    return PrivacyLoss(total_eps, total_delta)
 
 
 def _check_delta(delta_logit: float) -> None:
@@ -379,7 +362,6 @@ def analyze_pair(
     model: LogitModel,
     pair: NeighborPair,
     config: GenerationConfig,
-    hockey_epsilons: Sequence[float] | None = None,
 ) -> PrivacyReport:
     """Full privacy report, worst case over every declared context."""
     sens = logit_sensitivity(model, pair, config)
@@ -405,9 +387,7 @@ def analyze_pair(
     ctx_model = model.with_context(worst_context)
     p = enumerate_message_distribution(ctx_model, pair.left, config)
     q = enumerate_message_distribution(ctx_model, pair.right, config)
-    if hockey_epsilons is None:
-        hockey_epsilons = (0.0, worst_eps / 2.0, worst_eps)
-    curve = hockey_stick_curve(p, q, hockey_epsilons)
+    curve = hockey_stick_curve(p, q, (0.0, worst_eps / 2.0, worst_eps))
 
     assert worst_message is not None and per_step is not None
     return PrivacyReport(

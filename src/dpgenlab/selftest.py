@@ -416,8 +416,9 @@ def check_optimizer_boundaries() -> None:
 
 
 def check_closed_form_matches_enumeration() -> None:
-    """A coupling-free model takes the closed forms; its zero-coupling twin has
-    the same law but takes the enumeration path."""
+    """A coupling-free model has one shared row per level and closed-form
+    utility moments; its zero-coupling twin has the same law but one row per
+    prefix and an enumerated score table."""
     vocab = Vocabulary(("a", "b", "c"))
     tables = {"default": ((0.4, 0.0, -0.3), (0.1, 0.5, 0.0), (-0.2, 0.3, 0.6))}
     rule = TagTableRule(beta=1.0, table={"up": (1.0, 0.0, -0.5), "down": (-0.5, 0.0, 1.0)})
@@ -458,17 +459,17 @@ def _two_label_space() -> LabelSpace:
 
 
 def check_laplace_smoothing() -> None:
-    smoothed = laplace_smooth({"a": 3, "b": 1}, 4, 1.0, _two_label_space())
+    smoothed = laplace_smooth(np.array([3.0, 1.0]), 4, 1.0, _two_label_space())
     _close(smoothed.probs[0], 2.0 / 3.0, 1e-12, "smoothed P(a)")
     _close(smoothed.probs[1], 1.0 / 3.0, 1e-12, "smoothed P(b)")
-    uniform = laplace_smooth({}, 0, 1.0, _two_label_space())
+    uniform = laplace_smooth(np.zeros(2), 0, 1.0, _two_label_space())
     _close(uniform.probs[0], 0.5, 1e-12, "zero counts smooth to uniform")
 
 
 def check_divergences() -> None:
     space = _two_label_space()
-    p = laplace_smooth({"a": 3, "b": 1}, 4, 1.0, space)
-    q = laplace_smooth({"a": 1, "b": 3}, 4, 1.0, space)
+    p = laplace_smooth(np.array([3.0, 1.0]), 4, 1.0, space)
+    q = laplace_smooth(np.array([1.0, 3.0]), 4, 1.0, space)
     _close(empirical_epsilon(p, q), math.log(2.0), 1e-12, "empirical epsilon at (2/3, 1/3)")
     _close(total_variation(p, q), 1.0 / 3.0, 1e-12, "TV of the smoothed pair")
     flip_p = np.array([0.75, 0.25])

@@ -41,6 +41,7 @@ from .generation import (
     enumerate_cumulative_scores,
     enumerate_message_distribution,
     path_logits,
+    _log_normaliser,
 )
 
 UTILITY_KINDS = ("exp_logit_plus_length", "affine_in_U", "constant", "table")
@@ -214,14 +215,9 @@ Moments = Callable[[float], tuple[float, float]]
 
 
 def _step_softmax(logits: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-normaliser and softmax weights of each row of beta * logits.
-
-    A numpy max-shift stands in for scipy's logsumexp, whose per-call
-    overhead would dominate on rows this small.
-    """
+    """Log-normaliser and softmax weights of each row of beta * logits."""
     scaled = beta * logits
-    top = scaled.max(axis=1, keepdims=True)
-    log_norm = top + np.log(np.exp(scaled - top).sum(axis=1, keepdims=True))
+    log_norm = _log_normaliser(scaled)
     return log_norm[:, 0], np.exp(scaled - log_norm)
 
 
@@ -279,7 +275,7 @@ def utility_moments(
 
     def enumerated(T: float) -> tuple[float, float]:
         scaled = scores / T
-        weights = np.exp(scaled - logsumexp(scaled))
+        weights = np.exp(scaled - _log_normaliser(scaled))
         e_nu = float(weights @ values)
         cov = float(weights @ (values * scores) - e_nu * (weights @ scores))
         return e_nu, cov
@@ -381,9 +377,7 @@ def objective_curve(
     return rows
 
 
-def optimal_temperature(
-    problem: OptimizationProblem, grid_points: int = GRID_POINTS
-) -> tuple[float, OptimizationDiagnostics]:
+def optimal_temperature(problem: OptimizationProblem) -> tuple[float, OptimizationDiagnostics]:
     """Global maximiser of the regularized objective over the bracket.
 
     Scans a log-spaced grid for sign changes of the first-order condition
@@ -403,7 +397,7 @@ def optimal_temperature(
         return e_nu + lam_per_step * T
 
     lo, hi = problem.bracket
-    grid = np.geomspace(lo, hi, grid_points)
+    grid = np.geomspace(lo, hi, GRID_POINTS)
     g = np.array([foc(t) for t in grid])
     if not np.all(np.isfinite(g)):
         raise SolverError("first-order condition evaluated to a non-finite value")
@@ -444,6 +438,6 @@ def optimal_temperature(
         )
     best = max(candidates, key=lambda c: c.objective)
     diagnostics = OptimizationDiagnostics(
-        candidates=tuple(candidates), chosen=best, grid_points=grid_points
+        candidates=tuple(candidates), chosen=best, grid_points=GRID_POINTS
     )
     return best.temperature, diagnostics

@@ -172,8 +172,9 @@ def make_random_instance(rng, max_vocab=5, max_length=3, with_coupling=None):
 def zero_coupling_twin(model):
     """The same model with an all-zero history coupling table.
 
-    It has the same law as a coupling-free model but takes the enumeration
-    path, so it is the oracle for the closed forms.
+    It has the same law as a coupling-free model but one row per prefix in
+    every level and an enumerated score table, so it is the oracle for the
+    shared-row levels and the closed-form utility moments.
     """
     V = model.vocabulary.size
     return LogitModel(

@@ -385,3 +385,18 @@ def test_bad_temperature_exits_2(capsys, workdir):
     )
     assert code == 2
     assert json.loads(err)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("coupling", [[[0.1, 0.0], [0.0, 0.2]], None], ids=["coupled", "free"])
+def test_overflowing_scaled_logits_exit_4(capsys, workdir, coupling):
+    # At T = 1e-310 the logits divided by T overflow to inf.
+    path = workdir / "model.json"
+    model = json.loads(path.read_text())
+    model["history_coupling"] = coupling
+    path.write_text(json.dumps(model))
+    code, stdout, err = run(capsys, ["analyze", *pair_args(workdir), "--T", "1e-310", "--L", "2"])
+    assert code == 4
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ModelEvaluationError" and record["exit_code"] == 4

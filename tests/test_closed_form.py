@@ -1,8 +1,8 @@
-"""Closed-form exact path for coupling-free models against enumeration.
+"""Coupling-free models against their zero-coupling twins.
 
-Every comparison runs the same quantity on a coupling-free model (closed
-forms over its (L, V) logit rows) and on its zero-coupling twin (prefix
-enumeration of the same law).
+Every comparison runs the same quantity on a coupling-free model (one shared
+row per level, closed-form utility moments over its (L, V) logit rows) and
+on its zero-coupling twin (one row per prefix, enumeration of the same law).
 """
 
 import numpy as np

@@ -14,18 +14,17 @@ from dpgenlab import (
     LogitModel,
     MessageDistribution,
     NeighborPair,
-    PrivacyLoss,
     Record,
     TagTableRule,
     Vocabulary,
     WorkbenchError,
     analyze_pair,
-    compose_privacy,
     enumerate_message_distribution,
     hockey_stick_curve,
     hockey_stick_delta,
     logit_sensitivity,
     message_epsilon_bound,
+    message_index,
     message_epsilon_exact,
     per_step_max_epsilons,
     temperature_floor_for_budget,
@@ -36,6 +35,7 @@ from .helpers import (
     TEMPERATURE_GRID,
     exhaustive_sensitivity,
     make_random_instance,
+    naive_message_probs,
     subset_hockey_stick,
 )
 
@@ -190,26 +190,22 @@ def test_exact_epsilons_respect_bounds_on_random_instances(seed):
             assert step_eps <= token_epsilon_bound(delta, temperature) + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# composition
-
-
-def test_compose_privacy_adds_epsilons_and_clips_delta():
-    steps = [PrivacyLoss(0.5, 0.3), PrivacyLoss(1.0, 0.4), PrivacyLoss(0.25, 0.5)]
-    total = compose_privacy(steps)
-    assert total.epsilon == pytest.approx(1.75)
-    assert total.delta == 1.0
-    small = compose_privacy([PrivacyLoss(0.1, 1e-6), PrivacyLoss(0.2, 2e-6)])
-    assert small.delta == pytest.approx(3e-6)
-    identity = compose_privacy([])
-    assert identity.epsilon == 0.0 and identity.delta == 0.0
-
-
-def test_privacy_loss_validation():
-    with pytest.raises(ArgumentError):
-        PrivacyLoss(-0.1, 0.0)
-    with pytest.raises(ArgumentError):
-        PrivacyLoss(0.1, 1.5)
+@pytest.mark.parametrize("with_coupling", [True, False], ids=["coupled", "free"])
+@pytest.mark.parametrize("seed", range(8))
+def test_message_epsilon_matches_naive_message_tables(seed, with_coupling):
+    rng = np.random.default_rng(3000 + seed)
+    model, pair, length = make_random_instance(rng, with_coupling=with_coupling)
+    temperature = float(rng.choice([0.3, 0.7, 1.0, 1.7]))
+    config = GenerationConfig(temperature, length)
+    for cid in model.context_ids:
+        ctx = model.with_context(cid)
+        gaps = np.abs(
+            np.log(naive_message_probs(ctx, pair.left, length, temperature))
+            - np.log(naive_message_probs(ctx, pair.right, length, temperature))
+        )
+        eps, witness = message_epsilon_exact(ctx, pair, config)
+        assert eps == pytest.approx(gaps.max(), abs=1e-12)
+        assert message_index(witness, model.vocabulary.size, length) == int(gaps.argmax())
 
 
 # ---------------------------------------------------------------------------
