@@ -12,8 +12,9 @@ Reports are JSON (CSV for sweeps, SVG for plots). Runs that write files get
 a ``<output>.manifest.json`` sidecar holding every resolved parameter and
 input digest; stdout reports embed the same manifest. Exit codes: 0 success,
 2 usage error, 3 input error (including an output path that cannot be
-written, such as one in a missing directory), 4 numeric or solver error, 5
-enumeration cap exceeded. Errors print a one-line JSON record to stderr.
+written, such as one in a missing directory), 4 numeric or solver error, and
+any other unexpected failure, 5 enumeration cap exceeded. Every error prints
+a one-line JSON record to stderr, never a traceback.
 
 The ``DPGENLAB_ENUM_CAP`` environment variable overrides the default cap on
 exact message enumeration.
@@ -116,55 +117,6 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_utility(text: str) -> UtilitySpec:
-    """``kind`` or ``kind:key=value,...``; table uses ``table:v0,v1,...``."""
-    kind, _, rest = text.partition(":")
-    if kind == "table":
-        if not rest:
-            raise ArgumentError("table utility needs values: table:v0,v1,...")
-        try:
-            return UtilitySpec.table(float(v) for v in rest.split(","))
-        except ValueError:
-            raise ArgumentError(f"table utility has a non-numeric value: {rest!r}") from None
-    params: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ArgumentError(f"utility parameter {item!r} is not key=value")
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ArgumentError(f"utility parameter {item!r} is not numeric") from None
-    try:
-        if kind == "exp_logit_plus_length":
-            return UtilitySpec.exp_logit_plus_length(**params)
-        if kind == "affine_in_U":
-            return UtilitySpec.affine(**params)
-        if kind == "constant":
-            return UtilitySpec.constant_value(**params)
-    except TypeError:
-        raise ArgumentError(f"unknown parameter for utility kind {kind!r}: {rest!r}") from None
-    raise ArgumentError(
-        f"unknown utility kind {kind!r}; choose exp_logit_plus_length, "
-        "affine_in_U, constant, or table"
-    )
-
-
-def _utility_jsonable(utility: UtilitySpec) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": utility.kind}
-    if utility.kind == "exp_logit_plus_length":
-        out["length_coefficient"] = utility.length_coefficient
-    elif utility.kind == "affine_in_U":
-        out["slope"] = utility.slope
-        out["intercept"] = utility.intercept
-    elif utility.kind == "constant":
-        out["value"] = utility.value
-    else:
-        out["table_values"] = list(utility.table_values or ())
-    return out
-
-
 def _parse_record(text: str) -> Record:
     parts = text.split(",")
     if len(parts) > 3 or not parts[0]:
@@ -211,10 +163,10 @@ def _load_pair(args: argparse.Namespace) -> tuple[Any, NeighborPair, dict[str, s
     return model, pair, digests
 
 
-def _neighbor_jsonable(args: argparse.Namespace) -> dict[str, Any]:
-    record = _parse_record(args.neighbor_record)
+def _neighbor_jsonable(pair: NeighborPair) -> dict[str, Any]:
+    record = pair.new_record
     return {
-        "index": args.neighbor_index,
+        "index": pair.differing_index,
         "label": record.label,
         "weight": record.weight,
         "tag": record.tag,
@@ -245,7 +197,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         parameters={
             "model": args.model,
             "data": args.data,
-            "neighbor": _neighbor_jsonable(args),
+            "neighbor": _neighbor_jsonable(pair),
             "T": args.T,
             "L": args.L,
             "enum_cap": config.enum_cap,
@@ -292,7 +244,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         digests[args.data] = file_digest(args.data)
     else:
         dataset = Dataset(())
-    utility = _parse_utility(args.utility)
+    utility = UtilitySpec.parse(args.utility)
     problem = OptimizationProblem(
         model=model,
         dataset=dataset,
@@ -309,7 +261,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "length": problem.length,
         "lambda": problem.lam,
         "bracket": list(problem.bracket),
-        "utility": _utility_jsonable(utility),
+        "utility": utility.to_jsonable(),
         "diagnostics": diagnostics.to_jsonable(),
     }
     manifest = RunManifest(
@@ -320,7 +272,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             "L": args.L,
             "lambda": args.lam,
             "bracket": list(problem.bracket),
-            "utility": _utility_jsonable(utility),
+            "utility": utility.to_jsonable(),
             "curve": args.curve,
             "enum_cap": problem.enum_cap,
         },
@@ -339,7 +291,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model, pair, digests = _load_pair(args)
-    utility = _parse_utility(args.utility)
+    utility = UtilitySpec.parse(args.utility)
     left_rng, right_rng = _cell_seeds(args.seed, 0, 0, 0, args.shared_seed)
     cell = estimate_cell(
         model,
@@ -366,13 +318,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         parameters={
             "model": args.model,
             "data": args.data,
-            "neighbor": _neighbor_jsonable(args),
+            "neighbor": _neighbor_jsonable(pair),
             "T": args.T,
             "L": args.L,
             "samples": args.samples,
             "alpha": args.alpha,
             "labels": args.labels,
-            "utility": _utility_jsonable(utility),
+            "utility": utility.to_jsonable(),
             "shared_seed": args.shared_seed,
         },
         root_seed=args.seed,
@@ -384,7 +336,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     model, pair, digests = _load_pair(args)
-    utility = _parse_utility(args.utility)
+    utility = UtilitySpec.parse(args.utility)
     temperatures = _parse_grid(args.grid) if args.grid else DEFAULT_TEMPERATURES
     lengths = _parse_lengths(args.L) if args.L else DEFAULT_LENGTHS
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
@@ -407,14 +359,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         parameters={
             "model": args.model,
             "data": args.data,
-            "neighbor": _neighbor_jsonable(args),
+            "neighbor": _neighbor_jsonable(pair),
             "temperatures": list(temperatures),
             "lengths": list(lengths),
             "samples": args.samples,
             "repeats": args.repeats,
             "alpha": args.alpha,
             "labels": args.labels,
-            "utility": _utility_jsonable(utility),
+            "utility": utility.to_jsonable(),
             "shared_seed": args.shared_seed,
             "out": args.out,
             "svg": args.svg,
@@ -547,10 +499,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (WorkbenchError, OSError) as exc:
+    except Exception as exc:  # noqa: BLE001 - every failure exits with one JSON line
         # OSError here comes from writing an output file; reading inputs
-        # already maps it to InputError.
-        exit_code = exc.exit_code if isinstance(exc, WorkbenchError) else EXIT_INPUT
+        # already maps it to InputError. Anything else is unexpected.
+        if isinstance(exc, WorkbenchError):
+            exit_code = exc.exit_code
+        else:
+            exit_code = EXIT_INPUT if isinstance(exc, OSError) else EXIT_NUMERIC
         record = {
             "error": type(exc).__name__,
             "message": str(exc),

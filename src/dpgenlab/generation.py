@@ -302,6 +302,19 @@ class LogitModel:
 # configuration and distribution types
 
 
+def check_temperature(temperature: float) -> None:
+    """Raise ConfigError unless ``temperature`` is finite and > 0."""
+    if not np.isfinite(temperature) or temperature <= 0:
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature!r}")
+
+
+def check_length(length: int) -> int:
+    """``length`` as an int; ConfigError unless it is an integer >= 1."""
+    if int(length) != length or length < 1:
+        raise ConfigError(f"length must be an integer >= 1, got {length!r}")
+    return int(length)
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Sampling temperature, message length, and the enumeration cap."""
@@ -311,11 +324,8 @@ class GenerationConfig:
     enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature!r}")
-        if int(self.length) != self.length or self.length < 1:
-            raise ConfigError(f"length must be an integer >= 1, got {self.length!r}")
-        object.__setattr__(self, "length", int(self.length))
+        check_temperature(self.temperature)
+        object.__setattr__(self, "length", check_length(self.length))
         if int(self.enum_cap) != self.enum_cap or self.enum_cap < 1:
             raise ConfigError(f"enum_cap must be an integer >= 1, got {self.enum_cap!r}")
         object.__setattr__(self, "enum_cap", int(self.enum_cap))
@@ -564,9 +574,15 @@ def _level_log_probs(
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = (row[None, :] + acc) / T
             level = scaled - _log_normaliser(scaled)
-        if not np.isfinite(level).all():
-            raise ModelEvaluationError(f"logits scaled by 1/T at T = {T!r} are not finite")
-        yield level
+        yield _finite_level(level, T)
+
+
+def _finite_level(log_probs: np.ndarray, temperature: float) -> np.ndarray:
+    """``log_probs`` unchanged, or ModelEvaluationError if the logits scaled
+    by 1/T overflowed on the way to it."""
+    if not np.isfinite(log_probs).all():
+        raise ModelEvaluationError(f"logits scaled by 1/T at T = {temperature!r} are not finite")
+    return log_probs
 
 
 def enumerate_message_distribution(
@@ -611,8 +627,7 @@ def enumerate_cumulative_scores(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> np.ndarray:
     """U(m) for every message of ``length``, in lexicographic order."""
-    if length < 1:
-        raise ConfigError(f"length must be >= 1, got {length}")
+    check_length(length)
     scores = np.zeros(1)
     for row, acc in _prefix_walk(model, dataset, length, enum_cap):
         scores = ((scores[:, None] + row[None, :]) + acc).reshape(-1)
@@ -639,6 +654,8 @@ def sample_messages(
 
     Each step draws one uniform per message and inverts the CDF of the exact
     per-step distribution, so the output is fully determined by the rng state.
+    A temperature so low that the scaled logits overflow raises
+    ModelEvaluationError.
     """
     if count < 0:
         raise ArgumentError(f"count must be >= 0, got {count}")
@@ -648,17 +665,20 @@ def sample_messages(
     coupling = model._coupling_array
     out = np.empty((count, L), dtype=np.int64)
     acc = None if coupling is None else np.zeros((count, V))
+    T = config.temperature
     for k in range(L):
         if acc is None:
-            scaled = base[k] / config.temperature
-            log_probs = scaled - logsumexp(scaled)
-            cum = np.cumsum(np.exp(log_probs))
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = base[k] / T
+                log_probs = scaled - logsumexp(scaled)
+            cum = np.cumsum(np.exp(_finite_level(log_probs, T)))
             u = rng.random(count)
             idx = np.minimum(np.searchsorted(cum, u, side="right"), V - 1)
         else:
-            scaled = (base[k][None, :] + acc) / config.temperature
-            log_probs = scaled - logsumexp(scaled, axis=1, keepdims=True)
-            cum = np.cumsum(np.exp(log_probs), axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = (base[k][None, :] + acc) / T
+                log_probs = scaled - logsumexp(scaled, axis=1, keepdims=True)
+            cum = np.cumsum(np.exp(_finite_level(log_probs, T)), axis=1)
             u = rng.random(count)
             idx = np.minimum((u[:, None] >= cum).sum(axis=1), V - 1)
         out[:, k] = idx

@@ -86,6 +86,13 @@ def _as_float(value: Any, where: str) -> float:
         raise InputError(f"{where}: integer is too large for a float") from None
 
 
+def _number_row(row: Any, size: int, where: str) -> tuple[float, ...]:
+    """A JSON list of ``size`` numbers as floats; InputError names ``where``."""
+    if not isinstance(row, list) or len(row) != size:
+        raise InputError(f"{where}: expected a row of {size} numbers")
+    return tuple(_as_float(v, f"{where}[{j}]") for j, v in enumerate(row))
+
+
 def load_model_spec(path: Union[str, Path]) -> LogitModel:
     """Parse and validate a model-spec file into a LogitModel."""
     path = Path(path)
@@ -117,16 +124,9 @@ def load_model_spec(path: Union[str, Path]) -> LogitModel:
         rows_field = ctx["base_logits"]
         if not isinstance(rows_field, list) or not rows_field:
             raise InputError(f"{where}.base_logits: must be a non-empty list of rows")
-        rows = []
-        for k, row in enumerate(rows_field):
-            if not isinstance(row, list) or len(row) != V:
-                raise InputError(
-                    f"{where}.base_logits[{k}]: expected a row of {V} numbers"
-                )
-            rows.append(tuple(
-                _as_float(v, f"{where}.base_logits[{k}][{j}]") for j, v in enumerate(row)
-            ))
-        base_tables[cid] = tuple(rows)
+        base_tables[cid] = tuple(
+            _number_row(row, V, f"{where}.base_logits[{k}]") for k, row in enumerate(rows_field)
+        )
 
     infl_field = data.get("influence")
     if not isinstance(infl_field, dict) or "kind" not in infl_field:
@@ -141,16 +141,10 @@ def load_model_spec(path: Union[str, Path]) -> LogitModel:
         table_field = infl_field.get("table")
         if not isinstance(table_field, dict):
             raise InputError(f"{path}: influence.table must be an object mapping tags to rows")
-        table = {}
-        for tag, row in table_field.items():
-            if not isinstance(row, list) or len(row) != V:
-                raise InputError(
-                    f"{path}: influence.table[{tag!r}]: expected a row of {V} numbers"
-                )
-            table[tag] = tuple(
-                _as_float(v, f"{path}: influence.table[{tag!r}][{j}]")
-                for j, v in enumerate(row)
-            )
+        table = {
+            tag: _number_row(row, V, f"{path}: influence.table[{tag!r}]")
+            for tag, row in table_field.items()
+        }
         try:
             influence = TagTableRule(beta=beta, table=table)
         except InputError as exc:
@@ -165,14 +159,10 @@ def load_model_spec(path: Union[str, Path]) -> LogitModel:
     if coupling_field is not None:
         if not isinstance(coupling_field, list) or len(coupling_field) != V:
             raise InputError(f"{path}: history_coupling must be a {V}x{V} table or null")
-        rows = []
-        for i, row in enumerate(coupling_field):
-            if not isinstance(row, list) or len(row) != V:
-                raise InputError(f"{path}: history_coupling[{i}]: expected a row of {V} numbers")
-            rows.append(tuple(
-                _as_float(v, f"{path}: history_coupling[{i}][{j}]") for j, v in enumerate(row)
-            ))
-        coupling = tuple(rows)
+        coupling = tuple(
+            _number_row(row, V, f"{path}: history_coupling[{i}]")
+            for i, row in enumerate(coupling_field)
+        )
 
     try:
         return LogitModel(

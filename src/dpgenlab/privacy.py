@@ -25,9 +25,8 @@ enumeration cap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,10 +38,10 @@ from .generation import (
     Message,
     MessageDistribution,
     Record,
-    check_enumerable,
+    check_length,
+    check_temperature,
     enumerate_message_distribution,
     record_influence_vector,
-    step_logits,
     token_distribution,
     _level_log_probs,
 )
@@ -90,7 +89,7 @@ class Sensitivity:
     """Worst-case per-token logit shift between the two neighbors."""
 
     delta_logit: float
-    attained_at: Union[str, tuple[str, int, tuple[int, ...]]]
+    attained_at: str
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.delta_logit) or self.delta_logit < 0:
@@ -108,7 +107,7 @@ class PrivacyReport:
     temperature: float
     length: int
     delta_logit: float
-    sensitivity_attained_at: Union[str, tuple[str, int, tuple[int, ...]]]
+    sensitivity_attained_at: str
     token_epsilon_bound: float
     message_epsilon_bound: float
     exact_message_epsilon: float
@@ -131,14 +130,11 @@ class PrivacyReport:
                 )
 
     def to_jsonable(self) -> dict:
-        attained = self.sensitivity_attained_at
-        if isinstance(attained, tuple):
-            attained = {"token": attained[0], "step": attained[1], "history": list(attained[2])}
         return {
             "temperature": self.temperature,
             "length": self.length,
             "delta_logit": self.delta_logit,
-            "sensitivity_attained_at": attained,
+            "sensitivity_attained_at": self.sensitivity_attained_at,
             "token_epsilon_bound": self.token_epsilon_bound,
             "message_epsilon_bound": self.message_epsilon_bound,
             "exact_message_epsilon": self.exact_message_epsilon,
@@ -153,43 +149,18 @@ class PrivacyReport:
 # sensitivity
 
 
-def logit_sensitivity(
-    model: LogitModel,
-    pair: NeighborPair,
-    config: GenerationConfig,
-    method: str = "analytic",
-) -> Sensitivity:
+def logit_sensitivity(model: LogitModel, pair: NeighborPair) -> Sensitivity:
     """Worst-case logit shift Delta between the two neighboring datasets.
 
-    ``analytic`` exploits record-additivity: base logits and history coupling
-    cancel between neighbors, so Delta is the largest influence difference of
-    the replaced record over tokens, the same at every step. ``enumerate``
-    recomputes the full logits for every step, history, and token; it exists
-    as an independent cross-check and requires enumerable history spaces.
+    Logits are record-additive, so base logits and history coupling cancel
+    between neighbors: Delta is the largest influence difference of the
+    replaced record over tokens, the same at every step and history.
     """
-    if method == "analytic":
-        diff = np.abs(
-            record_influence_vector(model, pair.new_record)
-            - record_influence_vector(model, pair.old_record)
-        )
-        return Sensitivity(delta_logit=float(diff.max()), attained_at="analytic")
-    if method == "enumerate":
-        V = model.vocabulary.size
-        check_enumerable(V, max(config.length - 1, 1), config.enum_cap)
-        best = -1.0
-        witness: tuple[str, int, tuple[int, ...]] = (model.vocabulary.tokens[0], 1, ())
-        for k in range(1, config.length + 1):
-            for history in itertools.product(range(V), repeat=k - 1):
-                diff = np.abs(
-                    step_logits(model, pair.right, history, k)
-                    - step_logits(model, pair.left, history, k)
-                )
-                j = int(diff.argmax())
-                if diff[j] > best:
-                    best = float(diff[j])
-                    witness = (model.vocabulary.tokens[j], k, history)
-        return Sensitivity(delta_logit=best, attained_at=witness)
-    raise ArgumentError(f"unknown sensitivity method {method!r}")
+    diff = np.abs(
+        record_influence_vector(model, pair.new_record)
+        - record_influence_vector(model, pair.old_record)
+    )
+    return Sensitivity(delta_logit=float(diff.max()), attained_at="analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +245,15 @@ def per_step_max_epsilons(
 def token_epsilon_bound(delta_logit: float, temperature: float) -> float:
     """Per-step bound 2*Delta/T."""
     _check_delta(delta_logit)
-    _check_temperature(temperature)
+    check_temperature(temperature)
     return 2.0 * delta_logit / temperature
 
 
 def message_epsilon_bound(delta_logit: float, temperature: float, length: int) -> float:
     """Whole-message bound 2*Delta*L/T: the per-step bound composed L times."""
     _check_delta(delta_logit)
-    _check_temperature(temperature)
-    _check_length(length)
+    check_temperature(temperature)
+    check_length(length)
     return 2.0 * delta_logit * length / temperature
 
 
@@ -294,7 +265,7 @@ def temperature_floor_for_budget(
     Inverts 2*Delta*L/T <= eps into T >= 2*Delta*L/eps.
     """
     _check_delta(delta_logit)
-    _check_length(length)
+    check_length(length)
     if not np.isfinite(epsilon_budget) or epsilon_budget <= 0:
         raise ConfigError(f"epsilon budget must be finite and > 0, got {epsilon_budget!r}")
     return 2.0 * delta_logit * length / epsilon_budget
@@ -303,16 +274,6 @@ def temperature_floor_for_budget(
 def _check_delta(delta_logit: float) -> None:
     if not np.isfinite(delta_logit) or delta_logit < 0:
         raise ConfigError(f"delta_logit must be finite and >= 0, got {delta_logit!r}")
-
-
-def _check_temperature(temperature: float) -> None:
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise ConfigError(f"temperature must be finite and > 0, got {temperature!r}")
-
-
-def _check_length(length: int) -> None:
-    if int(length) != length or length < 1:
-        raise ConfigError(f"length must be an integer >= 1, got {length!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +325,7 @@ def analyze_pair(
     config: GenerationConfig,
 ) -> PrivacyReport:
     """Full privacy report, worst case over every declared context."""
-    sens = logit_sensitivity(model, pair, config)
+    sens = logit_sensitivity(model, pair)
     tok_bound = token_epsilon_bound(sens.delta_logit, config.temperature)
     msg_bound = message_epsilon_bound(sens.delta_logit, config.temperature, config.length)
 

@@ -26,7 +26,8 @@ Both paths enforce the same enumeration cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Any, Callable, Iterable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -38,13 +39,23 @@ from .generation import (
     GenerationConfig,
     LogitModel,
     check_enumerable,
+    check_length,
+    check_temperature,
     enumerate_cumulative_scores,
     enumerate_message_distribution,
     path_logits,
     _log_normaliser,
 )
 
-UTILITY_KINDS = ("exp_logit_plus_length", "affine_in_U", "constant", "table")
+# Each kind's parameters, as the --utility text form and the JSON form name
+# them, mapped to whether the text form must give them.
+UTILITY_PARAMETERS: dict[str, dict[str, bool]] = {
+    "exp_logit_plus_length": {"length_coefficient": False},
+    "affine_in_U": {"slope": True, "intercept": False},
+    "constant": {"value": True},
+    "table": {"table_values": True},
+}
+UTILITY_KINDS = tuple(UTILITY_PARAMETERS)
 
 FOC_TOLERANCE = 1e-10
 BRACKET_WIDTH_TOLERANCE = 1e-9
@@ -84,6 +95,43 @@ class UtilitySpec:
                 raise ConfigError(f"utility parameter {name} must be finite")
 
     @classmethod
+    def parse(cls, text: str) -> "UtilitySpec":
+        """The ``--utility`` text form: ``kind`` or ``kind:key=value,...``,
+        and ``table:v0,v1,...`` for the table kind."""
+        kind, _, rest = text.partition(":")
+        if kind == "table":
+            if not rest:
+                raise ArgumentError("table utility needs values: table:v0,v1,...")
+            try:
+                return cls.table(float(v) for v in rest.split(","))
+            except ValueError:
+                raise ArgumentError(f"table utility has a non-numeric value: {rest!r}") from None
+        params: dict[str, float] = {}
+        for item in rest.split(",") if rest else ():
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ArgumentError(f"utility parameter {item!r} is not key=value")
+            try:
+                params[key] = float(value)
+            except ValueError:
+                raise ArgumentError(f"utility parameter {item!r} is not numeric") from None
+        expected = UTILITY_PARAMETERS.get(kind, {})  # the constructor rejects the kind
+        if not set(params) <= set(expected):
+            raise ArgumentError(f"unknown parameter for utility kind {kind!r}: {rest!r}")
+        missing = [name for name, required in expected.items() if required and name not in params]
+        if missing:
+            raise ArgumentError(f"utility kind {kind!r} requires {', '.join(missing)}")
+        return cls(kind=kind, **params)
+
+    def to_jsonable(self) -> dict[str, Any]:
+        """The kind and its parameters, as reports and manifests record them."""
+        out: dict[str, Any] = {"kind": self.kind}
+        for name in UTILITY_PARAMETERS[self.kind]:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+    @classmethod
     def exp_logit_plus_length(cls, length_coefficient: float = 0.1) -> "UtilitySpec":
         return cls(kind="exp_logit_plus_length", length_coefficient=length_coefficient)
 
@@ -120,7 +168,8 @@ class UtilitySpec:
         """
         scores = np.asarray(scores, dtype=float)
         if self.kind == "exp_logit_plus_length":
-            out = np.exp(scores) + self.length_coefficient * length
+            with np.errstate(over="ignore"):  # an overflow is rejected below
+                out = np.exp(scores) + self.length_coefficient * length
         elif self.kind == "affine_in_U":
             out = self.slope * scores + self.intercept
         elif self.kind == "constant":
@@ -156,8 +205,7 @@ class GibbsDistribution:
             raise ArgumentError("scores must be a non-empty 1-D table")
         if not np.all(np.isfinite(scores)):
             raise SolverError("cumulative scores contain a non-finite value")
-        if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature!r}")
+        check_temperature(self.temperature)
         scaled = scores / self.temperature
         log_probs = scaled - logsumexp(scaled)
         log_probs.setflags(write=False)
@@ -238,7 +286,9 @@ def _factorised_moments(logits: np.ndarray, utility: UtilitySpec, length: int) -
 
     # exp_logit_plus_length. The enumeration path exponentiates every score,
     # the largest of which is the sum of the per-step maxima.
-    if not np.isfinite(np.exp(logits.max(axis=1).sum())):
+    with np.errstate(over="ignore"):
+        largest = np.exp(logits.max(axis=1).sum())
+    if not np.isfinite(largest):
         raise SolverError("utility evaluated to a non-finite value")
     bonus = utility.length_coefficient * length
 
@@ -309,15 +359,19 @@ class OptimizationProblem:
     enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self) -> None:
-        if int(self.length) != self.length or self.length < 1:
-            raise ConfigError(f"length must be an integer >= 1, got {self.length!r}")
-        object.__setattr__(self, "length", int(self.length))
+        object.__setattr__(self, "length", check_length(self.length))
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam!r}")
         lo, hi = (float(self.bracket[0]), float(self.bracket[1]))
         if not (np.isfinite(lo) and np.isfinite(hi)) or not 0 < lo < hi:
             raise ConfigError(f"bracket must satisfy 0 < low < high, got {self.bracket!r}")
         object.__setattr__(self, "bracket", (lo, hi))
+
+    @cached_property
+    def moments(self) -> Moments:
+        """T -> (E_T[nu], Cov_T(nu, U)), built once for the solver, the
+        objective and the curve."""
+        return utility_moments(self.model, self.dataset, self.length, self.utility, self.enum_cap)
 
 
 @dataclass(frozen=True)
@@ -350,15 +404,9 @@ class OptimizationDiagnostics:
         }
 
 
-def _problem_moments(problem: OptimizationProblem) -> Moments:
-    return utility_moments(
-        problem.model, problem.dataset, problem.length, problem.utility, problem.enum_cap
-    )
-
-
 def regularized_objective(problem: OptimizationProblem, temperature: float) -> float:
     """E(T) + (lambda / L) * T."""
-    e_nu, _ = _problem_moments(problem)(temperature)
+    e_nu, _ = problem.moments(temperature)
     return e_nu + (problem.lam / problem.length) * temperature
 
 
@@ -367,7 +415,7 @@ def objective_curve(
 ) -> list[tuple[float, float, float, float]]:
     """(T, E(T), objective, dE/dT) at ``points`` log-spaced temperatures
     spanning the bracket, from one moments function."""
-    moments = _problem_moments(problem)
+    moments = problem.moments
     lam_per_step = problem.lam / problem.length
     rows = []
     for t in np.geomspace(*problem.bracket, points):
@@ -385,7 +433,7 @@ def optimal_temperature(problem: OptimizationProblem) -> tuple[float, Optimizati
     |g| <= 1e-10 or width <= 1e-9, then returns the best of all interior
     roots and the two endpoints.
     """
-    moments = _problem_moments(problem)
+    moments = problem.moments
     lam_per_step = problem.lam / problem.length
 
     def foc(T: float) -> float:

@@ -89,7 +89,7 @@ def test_criterion_1_token_epsilon_within_closed_form_bound(family):
     checked = 0
     for model, pair, length, temperature in family:
         config = GenerationConfig(temperature=temperature, length=length)
-        delta = logit_sensitivity(model, pair, config).delta_logit
+        delta = logit_sensitivity(model, pair).delta_logit
         cap = token_epsilon_bound(delta, temperature) + 1e-9
         V = model.vocabulary.size
         for cid in model.base_tables:
@@ -110,7 +110,7 @@ def test_criterion_1_token_epsilon_within_closed_form_bound(family):
 def test_criterion_2_message_epsilon_within_both_bounds(family):
     for model, pair, length, temperature in family:
         config = GenerationConfig(temperature=temperature, length=length)
-        delta = logit_sensitivity(model, pair, config).delta_logit
+        delta = logit_sensitivity(model, pair).delta_logit
         closed_form = message_epsilon_bound(delta, temperature, length)
         for cid in model.base_tables:
             active = model.with_context(cid)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dpgenlab import UtilitySpec, cli
 from dpgenlab.cli import main
 
 
@@ -134,6 +135,46 @@ def test_optimize_rejects_unknown_utility(capsys, workdir):
     )
     assert code == 2
     assert json.loads(err)["exit_code"] == 2
+
+
+UTILITY_FORMS = [
+    ("exp_logit_plus_length", 0, {"kind": "exp_logit_plus_length", "length_coefficient": 0.1}),
+    ("exp_logit_plus_length:", 0, {"kind": "exp_logit_plus_length", "length_coefficient": 0.1}),
+    ("exp_logit_plus_length:length_coefficient=0.2", 0,
+     {"kind": "exp_logit_plus_length", "length_coefficient": 0.2}),
+    ("affine_in_U:slope=2", 0, {"kind": "affine_in_U", "slope": 2.0, "intercept": 0.0}),
+    ("affine_in_U:intercept=-1,slope=0.5", 0,
+     {"kind": "affine_in_U", "slope": 0.5, "intercept": -1.0}),
+    ("constant:value=3", 0, {"kind": "constant", "value": 3.0}),
+    ("table:1,2.5", 0, {"kind": "table", "table_values": [1.0, 2.5]}),
+    ("affine_in_U", 2, None),
+    ("constant", 2, None),
+    ("constant:slope=1", 2, None),
+    ("constant:value=1,slope=1", 2, None),
+    ("affine_in_U:slope", 2, None),
+    ("affine_in_U:slope=inf", 2, None),
+    ("table:", 2, None),
+    ("table:1,x", 2, None),
+    ("table:1,2,3", 2, None),
+    ("exp_logit_plus_length:length_coefficient=x", 2, None),
+    ("mystery", 2, None),
+    ("mystery:value=1", 2, None),
+]
+
+
+@pytest.mark.parametrize("text, code, block", UTILITY_FORMS)
+def test_utility_text_forms_and_their_json_blocks(capsys, workdir, text, code, block):
+    argv = ["optimize", "--model", str(workdir / "model.json"), "--L", "1",
+            "--lambda", "0.1", "--utility", text]
+    got, out, err = run(capsys, argv)
+    assert got == code, err
+    if code:
+        assert json.loads(err)["exit_code"] == code
+        return
+    doc = json.loads(out)
+    assert UtilitySpec.parse(text).to_jsonable() == block
+    assert doc["utility"] == block
+    assert doc["manifest"]["parameters"]["utility"] == block
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +441,33 @@ def test_overflowing_scaled_logits_exit_4(capsys, workdir, coupling):
     assert len(err.splitlines()) == 1
     record = json.loads(err)
     assert record["error"] == "ModelEvaluationError" and record["exit_code"] == 4
+
+
+@pytest.mark.parametrize("coupling", [[[0.1, 0.0], [0.0, 0.2]], None], ids=["coupled", "free"])
+def test_overflowing_scaled_logits_in_the_sampler_exit_4(capsys, workdir, coupling):
+    path = workdir / "model.json"
+    model = json.loads(path.read_text())
+    model["history_coupling"] = coupling
+    path.write_text(json.dumps(model))
+    code, stdout, err = run(
+        capsys, ["estimate", *pair_args(workdir), "--T", "1e-310", "--L", "2", "--samples", "20"]
+    )
+    assert code == 4
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ModelEvaluationError" and record["exit_code"] == 4
+
+
+def test_an_unexpected_exception_exits_4_with_one_json_line(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("not a workbench error")
+
+    monkeypatch.setattr(cli, "_cmd_bound", broken)
+    code, stdout, err = run(capsys, ["bound", "--delta", "1", "--T", "1", "--L", "1"])
+    assert code == 4
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "not a workbench error", "exit_code": 4,
+    }

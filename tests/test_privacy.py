@@ -91,38 +91,20 @@ def test_label_bonus_sensitivity_is_beta_on_label_change():
     )
     left = Dataset((Record("a", 1.0, "r"),))
     pair = NeighborPair(left=left, right=left.replace(0, Record("b", 1.0, "r")), differing_index=0)
-    config = GenerationConfig(1.0, 2)
-    assert logit_sensitivity(model, pair, config).delta_logit == pytest.approx(0.4)
+    assert logit_sensitivity(model, pair).delta_logit == pytest.approx(0.4)
     same = NeighborPair(
         left=left, right=left.replace(0, Record("a", 5.0, "other")), differing_index=0
     )
-    assert logit_sensitivity(model, same, config).delta_logit == 0.0
-
-
-def test_sensitivity_enumerate_reports_witness():
-    model, pair = epsilon_instance()
-    sens = logit_sensitivity(model, pair, GenerationConfig(1.0, 2), method="enumerate")
-    assert sens.delta_logit == pytest.approx(1.0)
-    token, step, history = sens.attained_at
-    assert token == "a" and step in (1, 2) and len(history) == step - 1
+    assert logit_sensitivity(model, same).delta_logit == 0.0
 
 
 def test_sensitivity_methods_and_the_exhaustive_oracle_agree():
     rng = np.random.default_rng(77)
     for _ in range(25):
         model, pair, length = make_random_instance(rng)
-        config = GenerationConfig(1.0, length)
-        analytic = logit_sensitivity(model, pair, config).delta_logit
-        enumerated = logit_sensitivity(model, pair, config, method="enumerate").delta_logit
+        analytic = logit_sensitivity(model, pair).delta_logit
         oracle = exhaustive_sensitivity(model, pair, length)
-        assert analytic == pytest.approx(enumerated, abs=1e-12)
         assert analytic == pytest.approx(oracle, abs=1e-12)
-
-
-def test_sensitivity_rejects_unknown_method():
-    model, pair = epsilon_instance()
-    with pytest.raises(ArgumentError):
-        logit_sensitivity(model, pair, GenerationConfig(1.0, 1), method="guess")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +161,7 @@ def test_exact_epsilons_respect_bounds_on_random_instances(seed):
     model, pair, length = make_random_instance(rng)
     temperature = TEMPERATURE_GRID[seed % len(TEMPERATURE_GRID)]
     config = GenerationConfig(temperature, length)
-    delta = logit_sensitivity(model, pair, config).delta_logit
+    delta = logit_sensitivity(model, pair).delta_logit
     for cid in model.context_ids:
         ctx = model.with_context(cid)
         eps, _ = message_epsilon_exact(ctx, pair, config)
