@@ -48,7 +48,7 @@ from .lab import (
     estimate_cell,
     run_sweep,
 )
-from .modelfiles import RunManifest, file_digest, load_dataset, load_model_spec
+from .modelfiles import RunManifest, file_digest, json_text, load_dataset, load_model_spec
 from .privacy import (
     NeighborPair,
     analyze_pair,
@@ -175,13 +175,10 @@ def _neighbor_jsonable(pair: NeighborPair) -> dict[str, Any]:
 
 def _emit_json(payload: dict, manifest: RunManifest, out: str | None) -> None:
     if out:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        Path(out).write_text(text)
+        Path(out).write_text(json_text(payload))
         manifest.write_next_to(out)
     else:
-        payload = dict(payload)
-        payload["manifest"] = manifest.to_jsonable()
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text({**payload, "manifest": manifest.to_jsonable()}), end="")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class InputError(WorkbenchError):
 
 
 class ModelEvaluationError(WorkbenchError):
-    """A logit evaluation produced a non-finite value."""
+    """A logit evaluation or a reported value is not finite."""
 
     exit_code = EXIT_NUMERIC
 

@@ -20,10 +20,9 @@ Every exact table comes from one walk over the prefix tree, ``_prefix_walk``:
 per step it yields the history-free logit row and the summed history
 coupling of every prefix. Without history coupling that sum is one (1, V)
 zero row that every consumer broadcasts, so the per-step levels are (1, V)
-rows and the message tables are outer sums of them. Every exact level is
-normalised by one numpy max-shift, ``_log_normaliser``; scipy's logsumexp
-stays in the sampler, whose bytes depend on it, and in the normalisation
-checks and single-message references that tests compare the engine against.
+rows and the message tables are outer sums of them. Every softmax, exact or
+sampled, comes from ``_tempered_log_probs``: logits scaled by 1/T minus their
+one normaliser, ``logsumexp``, or ModelEvaluationError if they overflow.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ArgumentError,
@@ -310,7 +308,7 @@ def check_temperature(temperature: float) -> None:
 
 def check_length(length: int) -> int:
     """``length`` as an int; ConfigError unless it is an integer >= 1."""
-    if int(length) != length or length < 1:
+    if not 1 <= length < np.inf or int(length) != length:
         raise ConfigError(f"length must be an integer >= 1, got {length!r}")
     return int(length)
 
@@ -326,7 +324,7 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         check_temperature(self.temperature)
         object.__setattr__(self, "length", check_length(self.length))
-        if int(self.enum_cap) != self.enum_cap or self.enum_cap < 1:
+        if not 1 <= self.enum_cap < np.inf or int(self.enum_cap) != self.enum_cap:
             raise ConfigError(f"enum_cap must be an integer >= 1, got {self.enum_cap!r}")
         object.__setattr__(self, "enum_cap", int(self.enum_cap))
 
@@ -343,7 +341,7 @@ class TokenDistribution:
         object.__setattr__(self, "log_probs", arr)
         if not np.all(np.isfinite(arr)):
             raise ModelEvaluationError("token distribution contains non-finite log-probabilities")
-        residual = float(logsumexp(arr))
+        residual = float(logsumexp(arr)[0])
         if abs(residual) > TOKEN_NORMALISATION_TOL:
             raise ModelEvaluationError(
                 f"token distribution is not normalised: logsumexp = {residual!r}"
@@ -378,7 +376,7 @@ class MessageDistribution:
             raise ArgumentError(
                 f"message table has {arr.shape} entries, expected ({expected},)"
             )
-        residual = float(logsumexp(arr))
+        residual = float(logsumexp(arr)[0])
         if abs(residual) > MESSAGE_NORMALISATION_TOL:
             raise ModelEvaluationError(
                 f"message distribution is not normalised: logsumexp = {residual!r}"
@@ -491,8 +489,7 @@ def token_distribution(
     log pi(w) = l(w)/T - logsumexp_v l(v)/T, evaluated entirely in log space.
     """
     logits = step_logits(model, dataset, history, step)
-    scaled = logits / config.temperature
-    return TokenDistribution(scaled - logsumexp(scaled))
+    return TokenDistribution(_tempered_log_probs(logits, config.temperature))
 
 
 def message_log_probability(
@@ -511,8 +508,7 @@ def message_log_probability(
     for k, w in enumerate(message.tokens):
         if not 0 <= w < V:
             raise ArgumentError(f"token index {w} out of range for vocabulary of {V}")
-        scaled = (base[k] + acc) / config.temperature
-        total += float(scaled[w] - logsumexp(scaled))
+        total += float(_tempered_log_probs(base[k] + acc, config.temperature)[w])
         if coupling is not None and k < len(message) - 1:
             acc = acc + coupling[w]
     return total
@@ -547,14 +543,25 @@ def _prefix_walk(
             acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
 
 
-def _log_normaliser(scaled: np.ndarray) -> np.ndarray:
+def logsumexp(values: np.ndarray) -> np.ndarray:
     """log-sum-exp over the last axis, kept as a length-1 axis.
 
-    A numpy max-shift: on the small rows of a level, scipy's logsumexp costs
-    more in per-call overhead than in arithmetic.
+    The max-shift form: the largest term is exp(0) = 1, so the sum neither
+    overflows nor loses its largest term to underflow.
     """
-    top = scaled.max(axis=-1, keepdims=True)
-    return top + np.log(np.exp(scaled - top).sum(axis=-1, keepdims=True))
+    top = values.max(axis=-1, keepdims=True)
+    return top + np.log(np.exp(values - top).sum(axis=-1, keepdims=True))
+
+
+def _tempered_log_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """log softmax of ``logits / temperature`` over the last axis, or
+    ModelEvaluationError if the logits scaled by 1/T overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = logits / temperature
+        log_probs = scaled - logsumexp(scaled)
+    if not np.isfinite(log_probs).all():
+        raise ModelEvaluationError(f"logits scaled by 1/T at T = {temperature!r} are not finite")
+    return log_probs
 
 
 def _level_log_probs(
@@ -569,20 +576,8 @@ def _level_log_probs(
     (1, |V|) row shared by all prefixes. A temperature so low that the scaled
     logits overflow raises ModelEvaluationError.
     """
-    T = config.temperature
     for row, acc in _prefix_walk(model, dataset, config.length, config.enum_cap):
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = (row[None, :] + acc) / T
-            level = scaled - _log_normaliser(scaled)
-        yield _finite_level(level, T)
-
-
-def _finite_level(log_probs: np.ndarray, temperature: float) -> np.ndarray:
-    """``log_probs`` unchanged, or ModelEvaluationError if the logits scaled
-    by 1/T overflowed on the way to it."""
-    if not np.isfinite(log_probs).all():
-        raise ModelEvaluationError(f"logits scaled by 1/T at T = {temperature!r} are not finite")
-    return log_probs
+        yield _tempered_log_probs(row[None, :] + acc, config.temperature)
 
 
 def enumerate_message_distribution(
@@ -665,21 +660,13 @@ def sample_messages(
     coupling = model._coupling_array
     out = np.empty((count, L), dtype=np.int64)
     acc = None if coupling is None else np.zeros((count, V))
-    T = config.temperature
     for k in range(L):
+        logits = base[k] if acc is None else base[k][None, :] + acc
+        cum = np.cumsum(np.exp(_tempered_log_probs(logits, config.temperature)), axis=-1)
+        u = rng.random(count)
         if acc is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                scaled = base[k] / T
-                log_probs = scaled - logsumexp(scaled)
-            cum = np.cumsum(np.exp(_finite_level(log_probs, T)))
-            u = rng.random(count)
             idx = np.minimum(np.searchsorted(cum, u, side="right"), V - 1)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                scaled = (base[k][None, :] + acc) / T
-                log_probs = scaled - logsumexp(scaled, axis=1, keepdims=True)
-            cum = np.cumsum(np.exp(_finite_level(log_probs, T)), axis=1)
-            u = rng.random(count)
             idx = np.minimum((u[:, None] >= cum).sum(axis=1), V - 1)
         out[:, k] = idx
         if acc is not None and k < L - 1:

@@ -30,11 +30,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-from .errors import InputError
+import numpy
+import scipy
+
+from .errors import InputError, ModelEvaluationError
 from .generation import (
     Dataset,
     LabelBonusRule,
@@ -49,6 +53,14 @@ DATASET_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 
 TOOL_VERSION = "0.1.0"
+
+# What byte-identical replay depends on besides the inputs: numpy's random
+# streams and arithmetic, and scipy's ``rel_entr``.
+ENVIRONMENT = {
+    "numpy": numpy.__version__,
+    "python": platform.python_version(),
+    "scipy": scipy.__version__,
+}
 
 
 def _load_json(path: Union[str, Path], what: str) -> Any:
@@ -245,6 +257,15 @@ def file_digest(path: Union[str, Path]) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def json_text(data: Any) -> str:
+    """Indented, key-sorted JSON and a newline, for reports and manifests. JSON
+    has no NaN or infinity, so a non-finite number raises ModelEvaluationError."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ModelEvaluationError(f"a reported value is not finite: {exc}") from None
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a run byte for byte."""
@@ -264,9 +285,10 @@ class RunManifest:
             "parameters": dict(self.parameters),
             "root_seed": self.root_seed,
             "input_digests": dict(self.input_digests),
+            "environment": dict(ENVIRONMENT),
         }
 
     def write_next_to(self, output_path: Union[str, Path]) -> Path:
         manifest_path = Path(str(output_path) + ".manifest.json")
-        manifest_path.write_text(json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n")
+        manifest_path.write_text(json_text(self.to_jsonable()))
         return manifest_path

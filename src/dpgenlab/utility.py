@@ -20,7 +20,10 @@ product of per-step softmaxes of the logit rows l_k, so for every utility
 kind except ``table`` the moments are per-step closed forms at O(L*V) cost
 per temperature, e.g. log E[e^U] = sum_k [LSE((1 + 1/T) l_k) - LSE(l_k / T)].
 Otherwise one score table is enumerated and reused for every temperature.
-Both paths enforce the same enumeration cap.
+Both paths enforce the same enumeration cap and normalise with
+``generation.logsumexp``, the one normaliser of the package. The solver, the
+curve and the derivative evaluate the moments with numpy's floating-point
+warnings off, and reject a non-finite result as SolverError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from functools import cached_property
 from typing import Any, Callable, Iterable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ArgumentError, ConfigError, SolverError
 from .generation import (
@@ -43,8 +45,9 @@ from .generation import (
     check_temperature,
     enumerate_cumulative_scores,
     enumerate_message_distribution,
+    logsumexp,
     path_logits,
-    _log_normaliser,
+    _tempered_log_probs,
 )
 
 # Each kind's parameters, as the --utility text form and the JSON form name
@@ -206,8 +209,7 @@ class GibbsDistribution:
         if not np.all(np.isfinite(scores)):
             raise SolverError("cumulative scores contain a non-finite value")
         check_temperature(self.temperature)
-        scaled = scores / self.temperature
-        log_probs = scaled - logsumexp(scaled)
+        log_probs = _tempered_log_probs(scores, self.temperature)
         log_probs.setflags(write=False)
         object.__setattr__(self, "log_probs", log_probs)
 
@@ -265,7 +267,7 @@ Moments = Callable[[float], tuple[float, float]]
 def _step_softmax(logits: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Log-normaliser and softmax weights of each row of beta * logits."""
     scaled = beta * logits
-    log_norm = _log_normaliser(scaled)
+    log_norm = logsumexp(scaled)
     return log_norm[:, 0], np.exp(scaled - log_norm)
 
 
@@ -325,7 +327,7 @@ def utility_moments(
 
     def enumerated(T: float) -> tuple[float, float]:
         scaled = scores / T
-        weights = np.exp(scaled - _log_normaliser(scaled))
+        weights = np.exp(scaled - logsumexp(scaled))
         e_nu = float(weights @ values)
         cov = float(weights @ (values * scores) - e_nu * (weights @ scores))
         return e_nu, cov
@@ -333,6 +335,13 @@ def utility_moments(
     return enumerated
 
 
+def _temperature_slope(cov: float, temperature: float) -> float:
+    """dE/dT = -Cov_T(nu, U) / T^2, with T^2 in numpy floats: at an extreme T
+    it underflows to 0 or overflows to inf instead of raising."""
+    return float(-cov / np.float64(temperature) ** 2)
+
+
+@np.errstate(all="ignore")  # a non-finite moment is the caller's to reject
 def utility_temperature_derivative(
     model: LogitModel,
     dataset: Dataset,
@@ -343,7 +352,7 @@ def utility_temperature_derivative(
 ) -> float:
     """Closed-form dE/dT = -Cov(nu, U) / T^2."""
     _, cov = utility_moments(model, dataset, length, utility, enum_cap)(temperature)
-    return -cov / temperature**2
+    return _temperature_slope(cov, temperature)
 
 
 @dataclass(frozen=True)
@@ -410,6 +419,7 @@ def regularized_objective(problem: OptimizationProblem, temperature: float) -> f
     return e_nu + (problem.lam / problem.length) * temperature
 
 
+@np.errstate(all="ignore")  # non-finite rows are rejected below
 def objective_curve(
     problem: OptimizationProblem, points: int
 ) -> list[tuple[float, float, float, float]]:
@@ -421,10 +431,14 @@ def objective_curve(
     for t in np.geomspace(*problem.bracket, points):
         temperature = float(t)
         e_nu, cov = moments(temperature)
-        rows.append((temperature, e_nu, e_nu + lam_per_step * temperature, -cov / temperature**2))
+        objective = e_nu + lam_per_step * temperature
+        rows.append((temperature, e_nu, objective, _temperature_slope(cov, temperature)))
+    if not np.isfinite(rows).all():
+        raise SolverError("objective curve has a non-finite value")
     return rows
 
 
+@np.errstate(all="ignore")  # non-finite moments are rejected below
 def optimal_temperature(problem: OptimizationProblem) -> tuple[float, OptimizationDiagnostics]:
     """Global maximiser of the regularized objective over the bracket.
 
@@ -438,11 +452,7 @@ def optimal_temperature(problem: OptimizationProblem) -> tuple[float, Optimizati
 
     def foc(T: float) -> float:
         _, cov = moments(T)
-        return lam_per_step - cov / T**2
-
-    def objective(T: float) -> float:
-        e_nu, _ = moments(T)
-        return e_nu + lam_per_step * T
+        return lam_per_step + _temperature_slope(cov, T)
 
     lo, hi = problem.bracket
     grid = np.geomspace(lo, hi, GRID_POINTS)
@@ -473,7 +483,7 @@ def optimal_temperature(problem: OptimizationProblem) -> tuple[float, Optimizati
 
     candidates = []
     for t in sorted(set([lo, hi] + roots)):
-        obj = objective(t)
+        obj = regularized_objective(problem, t)
         if not np.isfinite(obj):
             raise SolverError(f"objective is non-finite at T = {t}")
         candidates.append(

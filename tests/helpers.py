@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
 from dpgenlab import (
     Dataset,
@@ -75,6 +76,22 @@ def naive_message_probs(model, dataset, length, temperature):
             p *= dist[message[step - 1]]
         probs.append(p)
     return probs
+
+
+def scipy_normalised_sampler(model, dataset, length, temperature, rng, count):
+    """Token-by-token inverse-CDF draws, one message at a time, normalised by
+    scipy's logsumexp. Each step takes one uniform per message from ``rng``,
+    so from the same stream it must draw what ``sample_messages`` draws."""
+    V = model.vocabulary.size
+    out = np.zeros((count, length), dtype=np.int64)
+    for k in range(length):
+        u = rng.random(count)
+        for i in range(count):
+            history = [int(t) for t in out[i, :k]]
+            scaled = np.asarray(naive_step_logits(model, dataset, history, k + 1)) / temperature
+            cum = np.cumsum(np.exp(scaled - logsumexp(scaled)))
+            out[i, k] = min(int(np.searchsorted(cum, u[i], side="right")), V - 1)
+    return out
 
 
 def naive_cumulative_score(model, dataset, message):

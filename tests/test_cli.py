@@ -61,6 +61,26 @@ def test_bound_temperature_floor(capsys):
     assert doc["epsilon_budget"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--delta", "1", "--T", "1e-320", "--L", "3"],
+        ["--delta", "1e308", "--T", "1e-5", "--L", "3", "--epsilon", "1e-300"],
+    ],
+    ids=["token_bound", "temperature_floor"],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_bound_that_overflows_exits_4_and_writes_nothing(capsys, tmp_path, argv, to_file):
+    out = tmp_path / "bound.json"
+    code, stdout, err = run(capsys, ["bound", *argv, *(["--out", str(out)] if to_file else [])])
+    assert code == 4
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ModelEvaluationError" and record["exit_code"] == 4
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -471,3 +491,33 @@ def test_an_unexpected_exception_exits_4_with_one_json_line(capsys, monkeypatch)
     assert json.loads(err) == {
         "error": "ValueError", "message": "not a workbench error", "exit_code": 4,
     }
+
+
+@pytest.mark.parametrize("coupling", [[[0.1, 0.0], [0.0, 0.2]], None], ids=["coupled", "free"])
+@pytest.mark.parametrize("bracket", ["1e-300:1", "1e-310:1", "1:1e300"])
+def test_extreme_bracket_ends_give_an_answer_or_one_solver_error(
+    capsys, workdir, coupling, bracket
+):
+    # At the low end T^2 underflows (and at 1e-310 the scores / T overflow),
+    # so the first-order condition is not finite; at the high end T^2
+    # overflows, the slope is 0 and the objective stays finite.
+    path = workdir / "model.json"
+    model = json.loads(path.read_text())
+    model["history_coupling"] = coupling
+    path.write_text(json.dumps(model))
+    curve = workdir / "curve.csv"
+    code, stdout, err = run(
+        capsys,
+        ["optimize", "--model", str(path), "--data", str(workdir / "data.json"), "--L", "2",
+         "--lambda", "0.5", "--bracket", bracket, "--curve", str(curve)],
+    )
+    if bracket == "1:1e300":
+        assert code == 0 and err == ""
+        assert json.loads(stdout)["optimal_temperature"] == 1e300
+        assert "nan" not in curve.read_text() and "inf" not in curve.read_text()
+    else:
+        assert code == 4
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "SolverError" and record["exit_code"] == 4

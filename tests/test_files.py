@@ -1,6 +1,9 @@
 import json
+import platform
 
+import numpy
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -312,6 +315,23 @@ def test_manifest_written_next_to_output(tmp_path):
     keys = list(written.read_text().split('"'))
     # sorted serialisation puts input_digests before parameters
     assert keys.index("input_digests") < keys.index("parameters")
+
+
+def test_manifest_records_the_environment_and_replays_byte_identically(tmp_path):
+    out = tmp_path / "report.json"
+
+    def write() -> bytes:
+        manifest = RunManifest(subcommand="bound", parameters={"T": 1.0}, root_seed=None)
+        return manifest.write_next_to(out).read_bytes()
+
+    first = write()
+    assert write() == first
+    environment = json.loads(first)["environment"]
+    assert environment == {
+        "numpy": numpy.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+    }
 
 
 def test_file_digest_tracks_content(tmp_path):

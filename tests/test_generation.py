@@ -16,8 +16,10 @@ from dpgenlab import (
     LabelBonusRule,
     LogitModel,
     Message,
+    OptimizationProblem,
     Record,
     TagTableRule,
+    UtilitySpec,
     Vocabulary,
     check_enumerable,
     cumulative_logit_scores,
@@ -26,19 +28,22 @@ from dpgenlab import (
     enumerate_message_distribution,
     message_at_index,
     message_index,
+    message_epsilon_bound,
     message_log_probability,
     record_influence_vector,
     sample_messages,
     step_logits,
+    temperature_floor_for_budget,
     token_distribution,
 )
-from dpgenlab.generation import _log_normaliser
+from dpgenlab import generation, utility
 from .helpers import (
     make_random_instance,
     naive_cumulative_score,
     naive_influence,
     naive_message_probs,
     naive_softmax,
+    scipy_normalised_sampler,
 )
 
 EMPTY = Dataset(())
@@ -71,6 +76,23 @@ def test_vocabulary_lookup():
     assert "b" in vocab and "z" not in vocab
     with pytest.raises(InputError):
         vocab.index("z")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_lengths_and_caps_are_config_errors(bad):
+    model = plain_model()
+    calls = [
+        lambda: GenerationConfig(1.0, bad),
+        lambda: OptimizationProblem(model, EMPTY, bad, UtilitySpec.constant_value(1.0), 0.5),
+        lambda: message_epsilon_bound(1.0, 1.0, bad),
+        lambda: temperature_floor_for_budget(1.0, bad, 1.0),
+        lambda: enumerate_cumulative_scores(model, EMPTY, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="length must be an integer >= 1"):
+            call()
+    with pytest.raises(ConfigError, match="enum_cap must be an integer >= 1"):
+        GenerationConfig(1.0, 2, bad)
 
 
 def test_message_requires_tokens_and_renders():
@@ -260,9 +282,17 @@ def test_log_normaliser_matches_scipy_logsumexp(shape):
     rng = np.random.default_rng(shape[-1])
     for scale in (1.0, 30.0, 1e3):
         x = rng.normal(0.0, scale, shape)
-        got, want = _log_normaliser(x), logsumexp(x, axis=-1, keepdims=True)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        tied = x.copy()  # the first and last entries of each row share the max
+        tied[..., 0] = tied[..., -1] = x.max(axis=-1)
+        for values in (x, tied, np.full(shape, scale)):
+            got, want = generation.logsumexp(values), logsumexp(values, axis=-1, keepdims=True)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_one_normaliser_serves_generation_and_utility():
+    assert generation.logsumexp.__module__ == "dpgenlab.generation"
+    assert utility.logsumexp is generation.logsumexp
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -363,6 +393,17 @@ def test_sampled_frequencies_track_enumerated_probabilities(seed):
     counts = np.bincount(msgs @ weights, minlength=dist.size)
     freqs = counts / counts.sum()
     assert float(0.5 * np.abs(freqs - dist.probs()).sum()) < 0.02
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sampler_draws_what_a_scipy_normalised_sampler_draws(seed):
+    rng = np.random.default_rng(500 + seed)
+    model, pair, length = make_random_instance(rng, max_length=4, with_coupling=seed % 2 == 0)
+    temperature = float(rng.choice([0.2, 0.5, 1.0, 1.7, 4.0]))
+    config = GenerationConfig(temperature, length)
+    got = sample_messages(model, pair.left, config, derive_rng(seed, 3), 300)
+    want = scipy_normalised_sampler(model, pair.left, length, temperature, derive_rng(seed, 3), 300)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_derive_rng_depends_on_every_key_part():

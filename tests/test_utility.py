@@ -20,6 +20,7 @@ from dpgenlab import (
     expected_utility,
     gibbs_autoregressive_gap,
     gibbs_distribution,
+    objective_curve,
     optimal_temperature,
     regularized_objective,
     utility_covariance,
@@ -137,6 +138,21 @@ def test_derivative_frozen_value_and_sign():
     nu = UtilitySpec.exp_logit_plus_length(0.0)
     got = utility_temperature_derivative(model, EMPTY, 1, nu, 1.0)
     assert got == pytest.approx(-0.3378347121, abs=1e-9)
+
+
+def test_extreme_temperatures_give_a_finite_slope_or_a_solver_error():
+    # At T = 1e300, T^2 overflows and the slope is 0, not an OverflowError.
+    # At T = 1e-300, T^2 underflows: the curve rejects its rows, and the
+    # derivative reports a non-finite value without a RuntimeWarning.
+    model = two_point_model()
+    nu = UtilitySpec.exp_logit_plus_length(0.0)
+    assert utility_temperature_derivative(model, EMPTY, 1, nu, 1e300) == 0.0
+    assert not math.isfinite(utility_temperature_derivative(model, EMPTY, 1, nu, 1e-300))
+    high = OptimizationProblem(model, EMPTY, 1, nu, 0.5, bracket=(1.0, 1e300))
+    assert all(math.isfinite(v) for row in objective_curve(high, 5) for v in row)
+    low = OptimizationProblem(model, EMPTY, 1, nu, 0.5, bracket=(1e-300, 1.0))
+    with pytest.raises(SolverError, match="objective curve has a non-finite value"):
+        objective_curve(low, 5)
 
 
 @pytest.mark.parametrize("seed", range(10))
