@@ -16,20 +16,24 @@ influence of any single record is bounded by the rule's declared cap ``beta``,
 which is what makes the worst-case logit shift between neighboring datasets
 analytically computable.
 
-Every exact table comes from one walk over the prefix tree, ``_prefix_walk``:
-per step it yields the history-free logit row and the summed history
-coupling of every prefix. Without history coupling that sum is one (1, V)
-zero row that every consumer broadcasts, so the per-step levels are (1, V)
-rows and the message tables are outer sums of them. Every softmax, exact or
-sampled, comes from ``_tempered_log_probs``: logits scaled by 1/T minus their
-one normaliser, ``logsumexp``, or ModelEvaluationError if they overflow.
+Every exact table comes from one walk over the composition lattice,
+``_prefix_walk``. History coupling adds counts(h) @ C to the logits, so the
+next-token law after a prefix h depends only on the step and on h's token
+counts. Per step the walk yields the logit rows of the distinct compositions,
+C(k+V-2, V-1) rows at step k against V^(k-1) prefixes, and a child map to
+the next step's rows. Without history coupling each step is one (1, V) row
+that every consumer broadcasts. The V^L message tables gather the rows by
+each prefix's composition. Every softmax, exact or sampled, comes from
+``_tempered_log_probs``: logits scaled by 1/T minus their one normaliser,
+``logsumexp``, or ModelEvaluationError if they overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -324,8 +328,7 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         check_temperature(self.temperature)
         object.__setattr__(self, "length", check_length(self.length))
-        if not 1 <= self.enum_cap < np.inf or int(self.enum_cap) != self.enum_cap:
-            raise ConfigError(f"enum_cap must be an integer >= 1, got {self.enum_cap!r}")
+        check_enumerable(1, self.length, self.enum_cap)  # checks the cap; 1^L never exceeds it
         object.__setattr__(self, "enum_cap", int(self.enum_cap))
 
 
@@ -515,32 +518,65 @@ def message_log_probability(
 
 
 def check_enumerable(vocab_size: int, length: int, cap: int) -> int:
+    """V^L, after ConfigError unless ``cap`` is an integer >= 1 and
+    EnumerationCapError if V^L exceeds it; every exact path calls this."""
+    if not 1 <= cap < np.inf or int(cap) != cap:
+        raise ConfigError(f"enum_cap must be an integer >= 1, got {cap!r}")
     states = vocab_size**length
     if states > cap:
-        raise EnumerationCapError(states, cap)
+        raise EnumerationCapError(states, int(cap))
     return states
+
+
+def _child_ranks(counts: np.ndarray, binomials: np.ndarray) -> np.ndarray:
+    """Entry [c, w] is the rank of composition c + e_w among the next
+    step's compositions, where row c of ``counts`` is the composition of
+    rank c.
+
+    Stars and bars: with s_i = c_0 + ... + c_(i-1), the rank of c in the
+    combinatorial number system is sum_i C(s_i + i - 1, i) over i = 1..V-1.
+    Adding token w raises s_i by one for every i > w, which adds
+    C(s_i + i - 1, i - 1) to the rank; ``binomials[s, j]`` holds C(s + j, j).
+    """
+    n, V = counts.shape
+    raised = np.zeros((n, V), dtype=np.intp)
+    raised[:, :-1] = binomials[np.cumsum(counts[:, :-1], axis=1), np.arange(V - 1)]
+    return np.arange(n)[:, None] + np.cumsum(raised[:, ::-1], axis=1)[:, ::-1]
 
 
 def _prefix_walk(
     model: LogitModel, dataset: Dataset, length: int, enum_cap: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one walk over the prefix tree, step by step.
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The one walk over the composition lattice, step by step.
 
-    Yields, for step k = 1..L, the history-free logit row of shape (|V|,) and
-    the history-coupling sum of every prefix of length k-1, shape
-    (|V|^(k-1), |V|), whose row i belongs to the prefix of lexicographic rank
-    i. A model without history coupling keeps one (1, |V|) zero row, which
-    consumers broadcast. The enumeration cap is enforced for both.
+    History coupling adds counts(h) @ C to the logits, so the next-token law
+    after a prefix h depends only on the step and on h's token counts. For
+    step k = 1..L this yields the logit rows of the C(k+V-2, V-1) distinct
+    compositions of k-1 tokens, shape (n_k, |V|), and a child map of shape
+    (n_k, |V|) whose entry [c, w] is the row of c + e_w at step k+1. A model
+    without history coupling has one (1, |V|) row per step, which every
+    prefix shares; like the last step, it yields no child map (None). The
+    enumeration cap still counts the |V|^L messages.
     """
     V = model.vocabulary.size
     check_enumerable(V, length, enum_cap)
     base = path_logits(model, dataset, length)
     coupling = model._coupling_array
-    acc = np.zeros((1, V))
+    if coupling is None:
+        for k in range(length):
+            yield base[k][None, :], None
+        return
+    binomials = np.array(
+        [[math.comb(s + j, j) for j in range(V - 1)] for s in range(length)], dtype=np.intp
+    )
+    counts = np.zeros((1, V), dtype=np.intp)
     for k in range(length):
-        yield base[k], acc
-        if coupling is not None and k < length - 1:
-            acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
+        children = None if k == length - 1 else _child_ranks(counts, binomials)
+        yield base[k] + counts @ coupling, children
+        if children is not None:
+            grown = np.empty((math.comb(k + V, V - 1), V), dtype=np.intp)
+            grown[children] = counts[:, None, :] + np.eye(V, dtype=np.intp)
+            counts = grown
 
 
 def logsumexp(values: np.ndarray) -> np.ndarray:
@@ -566,27 +602,38 @@ def _tempered_log_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
 
 def _level_log_probs(
     model: LogitModel, dataset: Dataset, config: GenerationConfig
-) -> Iterator[np.ndarray]:
-    """Per-step log-probabilities over all prefixes, level by level.
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Per-step log-probabilities on the composition lattice, level by level.
 
-    Yields, for step k = 1..L, an array of shape (|V|^(k-1), |V|) whose row i
-    is the log next-token distribution after the prefix of lexicographic rank
-    i. Prefix order is preserved across levels, so flattening accumulates the
-    lexicographic message table. Without history coupling every level is one
-    (1, |V|) row shared by all prefixes. A temperature so low that the scaled
-    logits overflow raises ModelEvaluationError.
+    Yields, for step k = 1..L, the log next-token distributions of
+    ``_prefix_walk``'s logit rows, with the walk's child map. A temperature
+    so low that the scaled logits overflow raises ModelEvaluationError.
     """
-    for row, acc in _prefix_walk(model, dataset, config.length, config.enum_cap):
-        yield _tempered_log_probs(row[None, :] + acc, config.temperature)
+    for rows, children in _prefix_walk(model, dataset, config.length, config.enum_cap):
+        yield _tempered_log_probs(rows, config.temperature), children
+
+
+def _message_table(levels: Iterable[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
+    """Sum of one level entry per step along every message's path, in
+    lexicographic order.
+
+    ``prefix`` holds the lattice row of every prefix. It grows only through
+    a child map, so a shared (1, |V|) row broadcasts over every prefix.
+    """
+    table = np.zeros(1)
+    prefix = np.zeros(1, dtype=np.intp)
+    for rows, children in levels:
+        table = (table[:, None] + rows[prefix]).reshape(-1)
+        if children is not None:
+            prefix = children[prefix].reshape(-1)
+    return table
 
 
 def enumerate_message_distribution(
     model: LogitModel, dataset: Dataset, config: GenerationConfig
 ) -> MessageDistribution:
     """Exact product-form distribution over all |V|^L messages."""
-    table = np.zeros(1)
-    for level in _level_log_probs(model, dataset, config):
-        table = (table[:, None] + level).reshape(-1)
+    table = _message_table(_level_log_probs(model, dataset, config))
     return MessageDistribution(model.vocabulary, config.length, table)
 
 
@@ -623,10 +670,7 @@ def enumerate_cumulative_scores(
 ) -> np.ndarray:
     """U(m) for every message of ``length``, in lexicographic order."""
     check_length(length)
-    scores = np.zeros(1)
-    for row, acc in _prefix_walk(model, dataset, length, enum_cap):
-        scores = ((scores[:, None] + row[None, :]) + acc).reshape(-1)
-    return scores
+    return _message_table(_prefix_walk(model, dataset, length, enum_cap))
 
 
 # ---------------------------------------------------------------------------

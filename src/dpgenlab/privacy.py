@@ -12,15 +12,18 @@ epsilon into the smallest admissible delta:
 delta(eps) = sum_m max(P(m) - e^eps * Q(m), 0).
 
 The exact counterparts read the gaps p_k - q_k between the two arms' level
-log-probabilities, one level per step. The per-step epsilon is the largest
-|gap| of each level. The log-ratio of a message is the sum of the gaps along
-its path through the prefix tree, so the message epsilon is a max-plus pass
-over the levels, backward from the last, and its witness follows the argmaxes
-forward from the root. A level holds one row per prefix under history
-coupling and one shared (1, V) row without it; then the pass reduces to
+log-probabilities, one level per step. Under history coupling a level holds
+one row per composition of the prefix's token counts, C(k+V-2, V-1) rows at
+step k against the V^(k-1) prefixes, because prefixes with equal counts share
+their next-token law. The per-step epsilon is the largest |gap| of each
+level. The log-ratio of a message is the sum of the gaps along its path
+through the composition lattice, so the message epsilon is a max-plus pass
+over the levels, backward from the last through the lattice's child maps, and
+its witness follows the argmaxes forward from the root. Without coupling a
+level is one shared (1, V) row, and the pass reduces to
 max(sum_k max_w r_k, sum_k max_w -r_k) at O(L*V) cost. Only hockey-stick
-delta enumerates the two message tables. Every path enforces the same
-enumeration cap.
+delta enumerates the two V^L-entry message tables. Every path enforces the
+same enumeration cap, which counts the V^L messages.
 """
 
 from __future__ import annotations
@@ -182,37 +185,40 @@ def token_epsilon_exact(
 
 def _level_gaps(
     model: LogitModel, pair: NeighborPair, config: GenerationConfig
-) -> Iterator[np.ndarray]:
-    """p_k - q_k for each level of the two arms' prefix walks."""
-    for p, q in zip(
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """p_k - q_k for each level of the two arms' lattice walks, with the
+    child map that both arms share."""
+    for (p, children), (q, _) in zip(
         _level_log_probs(model, pair.left, config),
         _level_log_probs(model, pair.right, config),
     ):
-        yield p - q
+        yield p - q, children
 
 
-def _max_path(levels: Sequence[np.ndarray]) -> tuple[float, tuple[int, ...]]:
+def _max_path(
+    levels: Sequence[tuple[np.ndarray, np.ndarray | None]]
+) -> tuple[float, tuple[int, ...]]:
     """Largest sum of level entries along one message's path, with the
     lexicographically smallest message attaining it.
 
-    Level k holds one row per prefix of length k-1, or one row that every
-    prefix shares. The backward pass adds to each entry the best sum over
-    the steps after it (the next level's row maxima, reshaped to this
-    level's rows) and keeps the first argmax of each row; the witness then
-    follows the argmaxes forward from the root.
+    Each level holds one row per lattice composition and a child map, or one
+    row that every prefix shares and no child map. The backward pass adds to
+    each entry the best sum over the steps after it (the next level's row
+    maxima, gathered through the child map) and keeps the first argmax of
+    each row; the witness then follows the argmaxes forward from the root.
     """
-    best = np.zeros(len(levels[-1]))
+    best = np.zeros(1)
     choices = []
-    for level in reversed(levels):
-        total = level + best.reshape(len(level), -1)
+    for gap, children in reversed(levels):
+        total = gap + (best if children is None else best[children])
         choices.append(total.argmax(axis=1))
         best = total.max(axis=1)
-    V = levels[0].shape[1]
     row, witness = 0, []
-    for choice in reversed(choices):
-        w = int(choice[row % len(choice)])  # a shared row serves every prefix
+    for (_, children), choice in zip(levels, reversed(choices)):
+        w = int(choice[row])
         witness.append(w)
-        row = row * V + w
+        if children is not None:
+            row = int(children[row, w])
     return float(best[0]), tuple(witness)
 
 
@@ -226,7 +232,7 @@ def message_epsilon_exact(
     enumeration of the message tables.
     """
     gaps = list(_level_gaps(model, pair, config))
-    sides = [_max_path(gaps), _max_path([-gap for gap in gaps])]
+    sides = [_max_path(gaps), _max_path([(-gap, children) for gap, children in gaps])]
     eps = max(e for e, _ in sides)
     return eps, Message(min(w for e, w in sides if e == eps))
 
@@ -235,7 +241,7 @@ def per_step_max_epsilons(
     model: LogitModel, pair: NeighborPair, config: GenerationConfig
 ) -> tuple[float, ...]:
     """For each step, the exact epsilon maximised over all histories."""
-    return tuple(float(np.abs(gap).max()) for gap in _level_gaps(model, pair, config))
+    return tuple(float(np.abs(gap).max()) for gap, _ in _level_gaps(model, pair, config))
 
 
 # ---------------------------------------------------------------------------

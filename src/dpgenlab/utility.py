@@ -19,11 +19,14 @@ dataset, length, utility). Without history coupling the Gibbs law is the
 product of per-step softmaxes of the logit rows l_k, so for every utility
 kind except ``table`` the moments are per-step closed forms at O(L*V) cost
 per temperature, e.g. log E[e^U] = sum_k [LSE((1 + 1/T) l_k) - LSE(l_k / T)].
-Otherwise one score table is enumerated and reused for every temperature.
-Both paths enforce the same enumeration cap and normalise with
-``generation.logsumexp``, the one normaliser of the package. The solver, the
-curve and the derivative evaluate the moments with numpy's floating-point
-warnings off, and reject a non-finite result as SolverError.
+Otherwise the V^L score table is enumerated once, gathered from the
+composition lattice's rows, and each temperature costs one exp pass over the
+scores shifted by their maximum and one product with the stacked rows
+[nu, nu * shifted, shifted]. Both paths enforce the same enumeration cap; the
+closed forms normalise with ``generation.logsumexp``, the one normaliser of
+the package. The solver, the objective, the curve and the derivative
+evaluate the moments with numpy's floating-point warnings off, and reject a
+non-finite result as SolverError.
 """
 
 from __future__ import annotations
@@ -324,13 +327,15 @@ def utility_moments(
         return _factorised_moments(path_logits(model, dataset, length), utility, length)
     scores = enumerate_cumulative_scores(model, dataset, length, enum_cap)
     values = utility.values_for(scores, length)
+    # Cov(nu, U) = Cov(nu, U - max U); the shift keeps every weight <= 1 and
+    # the cancellation in E[nu U] - E[nu] E[U] small.
+    shifted = scores - scores.max()
+    stacked = np.stack([values, values * shifted, shifted])
 
     def enumerated(T: float) -> tuple[float, float]:
-        scaled = scores / T
-        weights = np.exp(scaled - logsumexp(scaled))
-        e_nu = float(weights @ values)
-        cov = float(weights @ (values * scores) - e_nu * (weights @ scores))
-        return e_nu, cov
+        weights = np.exp(shifted / T)
+        e_nu, e_nu_shifted, e_shifted = (stacked @ weights / weights.sum()).tolist()
+        return e_nu, e_nu_shifted - e_nu * e_shifted
 
     return enumerated
 
@@ -375,6 +380,8 @@ class OptimizationProblem:
         if not (np.isfinite(lo) and np.isfinite(hi)) or not 0 < lo < hi:
             raise ConfigError(f"bracket must satisfy 0 < low < high, got {self.bracket!r}")
         object.__setattr__(self, "bracket", (lo, hi))
+        check_enumerable(1, self.length, self.enum_cap)  # checks the cap; 1^L never exceeds it
+        object.__setattr__(self, "enum_cap", int(self.enum_cap))
 
     @cached_property
     def moments(self) -> Moments:
@@ -413,10 +420,14 @@ class OptimizationDiagnostics:
         }
 
 
+@np.errstate(all="ignore")  # a non-finite objective is rejected below
 def regularized_objective(problem: OptimizationProblem, temperature: float) -> float:
     """E(T) + (lambda / L) * T."""
     e_nu, _ = problem.moments(temperature)
-    return e_nu + (problem.lam / problem.length) * temperature
+    objective = e_nu + (problem.lam / problem.length) * temperature
+    if not np.isfinite(objective):
+        raise SolverError(f"objective is non-finite at T = {temperature}")
+    return objective
 
 
 @np.errstate(all="ignore")  # non-finite rows are rejected below
@@ -483,13 +494,10 @@ def optimal_temperature(problem: OptimizationProblem) -> tuple[float, Optimizati
 
     candidates = []
     for t in sorted(set([lo, hi] + roots)):
-        obj = regularized_objective(problem, t)
-        if not np.isfinite(obj):
-            raise SolverError(f"objective is non-finite at T = {t}")
         candidates.append(
             Candidate(
                 temperature=t,
-                objective=obj,
+                objective=regularized_objective(problem, t),
                 foc_residual=abs(foc(t)),
                 interior=(t in roots),
             )

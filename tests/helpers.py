@@ -94,6 +94,35 @@ def scipy_normalised_sampler(model, dataset, length, temperature, rng, count):
     return out
 
 
+def tree_logit_levels(model, dataset, length):
+    """Logits after every prefix of a coupled model, step by step, on the
+    prefix tree: level k has shape (V^(k-1), V), row i for the prefix of
+    lexicographic rank i. The coupling sum grows one token at a time,
+    acc[:, None, :] + C."""
+    V = model.vocabulary.size
+    coupling = np.array(model.history_coupling)
+    infl = np.array(naive_influence(model.influence, dataset.records, model.vocabulary.tokens))
+    rows = model.base_tables[model.context]
+    acc = np.zeros((1, V))
+    levels = []
+    for k in range(length):
+        levels.append(np.array(rows[min(k, len(rows) - 1)]) + infl + acc)
+        acc = (acc[:, None, :] + coupling[None, :, :]).reshape(-1, V)
+    return levels
+
+
+def longdouble_gibbs_covariance(scores, values, temperature):
+    """Cov(nu, U) under the law proportional to exp(U/T), in long double and
+    in the centred two-pass form E[(nu - E nu)(U - E U)]."""
+    scores = np.asarray(scores, dtype=np.longdouble)
+    values = np.asarray(values, dtype=np.longdouble)
+    weights = np.exp((scores - scores.max()) / np.longdouble(temperature))
+    weights /= weights.sum()
+    e_nu = (weights * values).sum()
+    e_u = (weights * scores).sum()
+    return (weights * (values - e_nu) * (scores - e_u)).sum()
+
+
 def naive_cumulative_score(model, dataset, message):
     total = 0.0
     for step in range(1, len(message) + 1):
@@ -137,20 +166,33 @@ def dense_grid_max(f, low, high, points=10_000):
 TEMPERATURE_GRID = tuple(round(0.1 * i, 10) for i in range(1, 21))
 
 
-def make_random_instance(rng, max_vocab=5, max_length=3, with_coupling=None):
+def make_random_instance(
+    rng,
+    max_vocab=5,
+    max_length=3,
+    with_coupling=None,
+    vocab_size=None,
+    length=None,
+    contexts=None,
+    label_bonus=None,
+):
     """A random record-additive model plus a replacement neighbor pair.
 
-    Sensitivity cap beta stays <= 2. Returns (model, pair, length).
+    Sensitivity cap beta stays <= 2. ``vocab_size``, ``length``, the number
+    of ``contexts``, ``label_bonus`` (the rule kind) and ``with_coupling`` are
+    drawn at random unless given. Returns (model, pair, length).
     """
-    V = int(rng.integers(2, max_vocab + 1))
-    L = int(rng.integers(1, max_length + 1))
+    V = int(rng.integers(2, max_vocab + 1)) if vocab_size is None else vocab_size
+    L = int(rng.integers(1, max_length + 1)) if length is None else length
     tokens = tuple(f"t{i}" for i in range(V))
-    contexts = {}
-    for c in range(int(rng.integers(1, 3))):
+    tables = {}
+    for c in range(int(rng.integers(1, 3)) if contexts is None else contexts):
         rows = tuple(tuple(rng.uniform(-2.0, 2.0, V)) for _ in range(int(rng.integers(1, L + 1))))
-        contexts[f"ctx{c}"] = rows
+        tables[f"ctx{c}"] = rows
 
-    if rng.random() < 0.5:
+    if label_bonus is None:
+        label_bonus = rng.random() < 0.5
+    if label_bonus:
         beta = float(rng.uniform(0.1, 2.0))
         rule = LabelBonusRule(beta=beta)
     else:
@@ -167,7 +209,7 @@ def make_random_instance(rng, max_vocab=5, max_length=3, with_coupling=None):
 
     model = LogitModel(
         vocabulary=Vocabulary(tokens),
-        base_tables=contexts,
+        base_tables=tables,
         influence=rule,
         history_coupling=coupling,
     )
@@ -189,9 +231,10 @@ def make_random_instance(rng, max_vocab=5, max_length=3, with_coupling=None):
 def zero_coupling_twin(model):
     """The same model with an all-zero history coupling table.
 
-    It has the same law as a coupling-free model but one row per prefix in
-    every level and an enumerated score table, so it is the oracle for the
-    shared-row levels and the closed-form utility moments.
+    It has the same law as a coupling-free model but one row per lattice
+    composition in every level, child maps and an enumerated score table, so
+    it is the oracle for the shared-row levels and the closed-form utility
+    moments.
     """
     V = model.vocabulary.size
     return LogitModel(

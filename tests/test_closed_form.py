@@ -2,7 +2,8 @@
 
 Every comparison runs the same quantity on a coupling-free model (one shared
 row per level, closed-form utility moments over its (L, V) logit rows) and
-on its zero-coupling twin (one row per prefix, enumeration of the same law).
+on its zero-coupling twin (one row per lattice composition, enumeration of
+the same law).
 """
 
 import numpy as np

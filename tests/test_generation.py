@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +45,7 @@ from .helpers import (
     naive_message_probs,
     naive_softmax,
     scipy_normalised_sampler,
+    tree_logit_levels,
 )
 
 EMPTY = Dataset(())
@@ -93,6 +95,20 @@ def test_non_finite_lengths_and_caps_are_config_errors(bad):
             call()
     with pytest.raises(ConfigError, match="enum_cap must be an integer >= 1"):
         GenerationConfig(1.0, 2, bad)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 0, 2.5], ids=["nan", "inf", "0", "2.5"])
+def test_every_capped_path_rejects_a_cap_that_is_not_an_integer_of_at_least_one(cap):
+    model = plain_model(coupling=((0.3, -0.2), (0.1, 0.4)))
+    nu = UtilitySpec.affine(1.0)
+    calls = [
+        lambda: OptimizationProblem(model, EMPTY, 3, nu, 0.5, enum_cap=cap),
+        lambda: utility.utility_moments(model, EMPTY, 3, nu, enum_cap=cap),
+        lambda: enumerate_cumulative_scores(model, EMPTY, 3, enum_cap=cap),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="enum_cap must be an integer >= 1"):
+            call()
 
 
 def test_message_requires_tokens_and_renders():
@@ -346,6 +362,57 @@ def test_enumerate_cumulative_scores_order_matches_messages():
             assert naive_cumulative_score(model, dataset, msg.tokens) == pytest.approx(
                 float(score), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("label_bonus", [True, False], ids=["label_bonus", "tag_table"])
+@pytest.mark.parametrize("vocab_size", [2, 3, 4, 5])
+def test_lattice_levels_equal_the_prefix_tree_levels(vocab_size, label_bonus):
+    rng = np.random.default_rng(800 + vocab_size)
+    for length in range(1, 6):
+        model, pair, _ = make_random_instance(
+            rng, with_coupling=True, vocab_size=vocab_size, length=length, contexts=2,
+            label_bonus=label_bonus,
+        )
+        temperature = float(rng.uniform(0.3, 2.0))
+        config = GenerationConfig(temperature, length)
+        for cid in model.context_ids:
+            ctx = model.with_context(cid)
+            walk = generation._prefix_walk(ctx, pair.left, length, config.enum_cap)
+            levels = generation._level_log_probs(ctx, pair.left, config)
+            prefix = np.zeros(1, dtype=int)  # the lattice row of every prefix
+            for (rows, children), (log_probs, _), tree in zip(
+                walk, levels, tree_logit_levels(ctx, pair.left, length), strict=True
+            ):
+                np.testing.assert_allclose(rows[prefix], tree, rtol=0, atol=1e-12)
+                scaled = tree / temperature
+                want = scaled - logsumexp(scaled, axis=1, keepdims=True)
+                np.testing.assert_allclose(log_probs[prefix], want, rtol=0, atol=1e-12)
+                if children is not None:
+                    prefix = children[prefix].reshape(-1)
+
+
+@pytest.mark.parametrize("vocab_size", [2, 3, 4, 5])
+def test_composition_ranks_number_each_step_once(vocab_size):
+    rng = np.random.default_rng(850 + vocab_size)
+    model, pair, length = make_random_instance(
+        rng, with_coupling=True, vocab_size=vocab_size, length=5
+    )
+    walk = generation._prefix_walk(model, pair.left, length, 10**6)
+    prefix = np.zeros(1, dtype=int)
+    for k, (rows, children) in enumerate(walk, start=1):
+        n = math.comb(k + vocab_size - 2, vocab_size - 1)
+        assert rows.shape == (n, vocab_size)
+        assert children is None if k == length else children.shape == rows.shape
+        counts = [
+            tuple(np.bincount(np.array(h, dtype=int), minlength=vocab_size))
+            for h in itertools.product(range(vocab_size), repeat=k - 1)
+        ]
+        # One rank per composition, and the ranks are 0 .. n-1, each once.
+        ranked = set(zip(counts, prefix.tolist()))
+        assert len(ranked) == n
+        assert sorted(rank for _, rank in ranked) == list(range(n))
+        if children is not None:
+            prefix = children[prefix].reshape(-1)
 
 
 def test_enumeration_cap_is_enforced_with_counts_in_message():

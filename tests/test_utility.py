@@ -17,6 +17,7 @@ from dpgenlab import (
     SolverError,
     UtilitySpec,
     Vocabulary,
+    enumerate_cumulative_scores,
     expected_utility,
     gibbs_autoregressive_gap,
     gibbs_distribution,
@@ -24,9 +25,16 @@ from dpgenlab import (
     optimal_temperature,
     regularized_objective,
     utility_covariance,
+    utility_moments,
     utility_temperature_derivative,
 )
-from .helpers import central_difference, dense_grid_max, make_random_instance, naive_softmax
+from .helpers import (
+    central_difference,
+    dense_grid_max,
+    longdouble_gibbs_covariance,
+    make_random_instance,
+    naive_softmax,
+)
 
 EMPTY = Dataset(())
 
@@ -153,6 +161,44 @@ def test_extreme_temperatures_give_a_finite_slope_or_a_solver_error():
     low = OptimizationProblem(model, EMPTY, 1, nu, 0.5, bracket=(1e-300, 1.0))
     with pytest.raises(SolverError, match="objective curve has a non-finite value"):
         objective_curve(low, 5)
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "free"])
+def test_objective_at_a_subnormal_temperature_is_finite_or_a_solver_error(coupled):
+    # At T = 1e-310, 1/T overflows. The enumerated Gibbs law keeps its T -> 0
+    # limit, the best message; the closed form's tempered softmax has no
+    # value. Neither may emit a RuntimeWarning.
+    coupling = ((0.1, 0.0), (0.0, 0.2)) if coupled else None
+    model = LogitModel(
+        vocabulary=Vocabulary(("a", "b")),
+        base_tables={"default": ((1.0, 0.0),)},
+        influence=LabelBonusRule(beta=0.0),
+        history_coupling=coupling,
+    )
+    problem = OptimizationProblem(model, EMPTY, 2, UtilitySpec.exp_logit_plus_length(0.1), 0.5)
+    if coupled:
+        assert regularized_objective(problem, 1e-310) == pytest.approx(math.exp(2.1) + 0.2)
+    else:
+        with pytest.raises(SolverError, match="objective is non-finite at T = 1e-310"):
+            regularized_objective(problem, 1e-310)
+
+
+def test_enumerated_covariance_matches_a_long_double_oracle():
+    rng = np.random.default_rng(0)
+    V, L = 10, 5
+    model = LogitModel(
+        vocabulary=Vocabulary(tuple(f"t{i}" for i in range(V))),
+        base_tables={"default": tuple(tuple(rng.uniform(-4.0, 4.0, V)) for _ in range(L))},
+        influence=LabelBonusRule(beta=0.0),
+        history_coupling=tuple(tuple(rng.uniform(-0.3, 0.3, V)) for _ in range(V)),
+    )
+    moments = utility_moments(model, EMPTY, L, UtilitySpec.exp_logit_plus_length(0.1))
+    scores = enumerate_cumulative_scores(model, EMPTY, L)
+    values = np.exp(scores.astype(np.longdouble)) + np.longdouble(0.1) * L
+    for temperature in np.geomspace(0.1, 2.0, 101):
+        _, cov = moments(float(temperature))
+        want = longdouble_gibbs_covariance(scores, values, temperature)
+        assert abs(cov - want) <= 1e-11 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("seed", range(10))
