@@ -90,7 +90,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ArgumentError(f"--grid step must be > 0, got {step}")
     if stop < start:
         raise ArgumentError(f"--grid stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9))
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ArgumentError(f"--grid has too many points: {text!r}")
+    count = int(math.floor(span + 1e-9))
     if abs(start + (count + 1) * step - stop) < step * 1e-6:
         count += 1
     return tuple(round(start + i * step, 10) for i in range(count + 1))

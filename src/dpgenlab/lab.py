@@ -4,6 +4,8 @@ Two seeded arms sample messages from the mechanism under each of the two
 neighboring datasets; messages are projected onto a finite label space,
 counts are Laplace-smoothed, and the arms are compared with max-log-ratio
 epsilon, total variation, and Jensen-Shannon divergence (natural log).
+The divergence uses scipy's ``rel_entr``, imported on its first call so that
+``import dpgenlab`` and the exact commands do not load ``scipy.special``.
 Alongside the divergences, each cell records the mean cumulative score, the
 mean utility, and their sample covariance on the left arm.
 
@@ -28,7 +30,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import ArgumentError, ConfigError
 from .generation import (
@@ -214,6 +215,9 @@ def total_variation(p: Distribution, q: Distribution) -> float:
 
 def js_divergence(p: Distribution, q: Distribution) -> float:
     """0.5*KL(P||M) + 0.5*KL(Q||M) with M the midpoint, natural log."""
+    # Deferred: scipy.special takes about 200 ms to import.
+    from scipy.special import rel_entr
+
     pv, qv = _paired_probs(p, q)
     mid = 0.5 * (pv + qv)
     return float(0.5 * rel_entr(pv, mid).sum() + 0.5 * rel_entr(qv, mid).sum())

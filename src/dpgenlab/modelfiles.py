@@ -55,7 +55,8 @@ MANIFEST_SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
 # What byte-identical replay depends on besides the inputs: numpy's random
-# streams and arithmetic, and scipy's ``rel_entr``.
+# streams and arithmetic, and scipy's ``rel_entr``. Every manifest records
+# scipy's version, but only sweep and estimate outputs depend on it.
 ENVIRONMENT = {
     "numpy": numpy.__version__,
     "python": platform.python_version(),

@@ -18,7 +18,9 @@ E_T[nu] and Cov_T(nu, U) from one moments function built per (model,
 dataset, length, utility). Without history coupling the Gibbs law is the
 product of per-step softmaxes of the logit rows l_k, so for every utility
 kind except ``table`` the moments are per-step closed forms at O(L*V) cost
-per temperature, e.g. log E[e^U] = sum_k [LSE((1 + 1/T) l_k) - LSE(l_k / T)].
+per temperature, e.g. E[e^U] = prod_k E_{pi_k}[e^{l_k}] with
+pi_k = softmax(l_k / T) and each step's maximum factored out of e^{l_k}, so
+no factor cancels at a small T and the only exponent taken is e^{max U}.
 Otherwise the V^L score table is enumerated once, gathered from the
 composition lattice's rows, and each temperature costs one exp pass over the
 scores shifted by their maximum and one product with the stacked rows
@@ -267,11 +269,10 @@ def utility_covariance(dist: GibbsDistribution, utility: UtilitySpec, length: in
 Moments = Callable[[float], tuple[float, float]]
 
 
-def _step_softmax(logits: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-normaliser and softmax weights of each row of beta * logits."""
+def _step_softmax(logits: np.ndarray, beta: float) -> np.ndarray:
+    """Softmax weights of each row of beta * logits."""
     scaled = beta * logits
-    log_norm = logsumexp(scaled)
-    return log_norm[:, 0], np.exp(scaled - log_norm)
+    return np.exp(scaled - logsumexp(scaled))
 
 
 def _factorised_moments(logits: np.ndarray, utility: UtilitySpec, length: int) -> Moments:
@@ -281,7 +282,7 @@ def _factorised_moments(logits: np.ndarray, utility: UtilitySpec, length: int) -
     if utility.kind == "affine_in_U":
 
         def affine(T: float) -> tuple[float, float]:
-            _, weights = _step_softmax(logits, 1.0 / T)
+            weights = _step_softmax(logits, 1.0 / T)
             means = (weights * logits).sum(axis=1)
             variances = (weights * (logits - means[:, None]) ** 2).sum(axis=1)
             e_nu = utility.slope * float(means.sum()) + utility.intercept
@@ -289,21 +290,26 @@ def _factorised_moments(logits: np.ndarray, utility: UtilitySpec, length: int) -
 
         return affine
 
-    # exp_logit_plus_length. The enumeration path exponentiates every score,
-    # the largest of which is the sum of the per-step maxima.
+    # exp_logit_plus_length. E[e^U] = prod_k E_{pi_k}[e^{l_k}], with each
+    # step's maximum m_k factored out of e^{l_k}: the only exponent left is
+    # e^{sum_k m_k}, the largest score's, which the enumeration path also
+    # takes and which must be finite.
+    tops = logits.max(axis=1, keepdims=True)
     with np.errstate(over="ignore"):
-        largest = np.exp(logits.max(axis=1).sum())
+        largest = float(np.exp(tops.sum()))
     if not np.isfinite(largest):
         raise SolverError("utility evaluated to a non-finite value")
+    lifts = np.exp(logits - tops)
     bonus = utility.length_coefficient * length
 
     def exp_plus_length(T: float) -> tuple[float, float]:
-        # E[e^U] tilts every step from exp(l/T) to exp((1 + 1/T) l), and
-        # Cov(e^U, U) = E[e^U] * (E_tilted[U] - E[U]).
-        log_norm, weights = _step_softmax(logits, 1.0 / T)
-        tilted_log_norm, tilted = _step_softmax(logits, 1.0 + 1.0 / T)
-        mean_exp = float(np.exp((tilted_log_norm - log_norm).sum()))
-        shift = float(((tilted - weights) * logits).sum())
+        # Cov(e^U, U) = E[e^U] * (E_tilted[U] - E[U]), where the tilted law
+        # weights each step by pi_k * e^{l_k}, normalised per step.
+        weights = _step_softmax(logits, 1.0 / T)
+        tilted = weights * lifts
+        factors = tilted.sum(axis=1)
+        mean_exp = largest * float(np.prod(factors))
+        shift = float(((tilted / factors[:, None] - weights) * logits).sum())
         return mean_exp + bonus, mean_exp * shift
 
     return exp_plus_length

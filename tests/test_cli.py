@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -356,6 +360,21 @@ def test_bad_grid_exits_2(capsys, workdir):
     assert json.loads(err)["exit_code"] == 2
 
 
+def test_grid_with_an_infinite_point_count_exits_2(capsys, workdir):
+    out = workdir / "x.csv"
+    code, stdout, err = run(
+        capsys,
+        ["sweep", *pair_args(workdir), "--grid", "0.5:1e300:1e-300", "--L", "2",
+         "--out", str(out)],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["exit_code"] == 2 and "--grid" in record["message"]
+    assert not out.exists()
+
+
 def test_missing_model_exits_3(capsys, workdir):
     code, _, err = run(
         capsys,
@@ -521,3 +540,44 @@ def test_extreme_bracket_ends_give_an_answer_or_one_solver_error(
         assert len(err.splitlines()) == 1
         record = json.loads(err)
         assert record["error"] == "SolverError" and record["exit_code"] == 4
+
+
+COLD_START = """
+import json, sys
+
+from dpgenlab import cli
+
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+assert "scipy.special" not in sys.modules
+
+import numpy as np
+from dpgenlab.lab import js_divergence
+
+got = js_divergence([0.5, 0.5], [0.25, 0.75])
+assert "scipy.special" in sys.modules
+from scipy.special import rel_entr
+
+p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+mid = 0.5 * (p + q)
+assert got == float(0.5 * rel_entr(p, mid).sum() + 0.5 * rel_entr(q, mid).sum())
+"""
+
+
+def test_exact_commands_never_import_scipy_special(workdir):
+    # scipy.special takes about 200 ms to import; only the Jensen-Shannon
+    # divergence of estimate, sweep and selftest loads it.
+    model = str(workdir / "model.json")
+    commands = [
+        ["bound", "--delta", "1", "--T", "1", "--L", "5"],
+        ["analyze", *pair_args(workdir), "--T", "1.0", "--L", "2"],
+        ["optimize", "--model", model, "--data", str(workdir / "data.json"), "--L", "2",
+         "--lambda", "0.5", "--curve", str(workdir / "curve.csv")],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

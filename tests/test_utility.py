@@ -34,6 +34,7 @@ from .helpers import (
     longdouble_gibbs_covariance,
     make_random_instance,
     naive_softmax,
+    zero_coupling_twin,
 )
 
 EMPTY = Dataset(())
@@ -181,6 +182,19 @@ def test_objective_at_a_subnormal_temperature_is_finite_or_a_solver_error(couple
     else:
         with pytest.raises(SolverError, match="objective is non-finite at T = 1e-310"):
             regularized_objective(problem, 1e-310)
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 1e-17, 1e-3, 0.5, 2.0])
+def test_closed_form_exp_moments_match_the_zero_coupling_twin(temperature):
+    # Once 1 + 1/T rounds to 1/T, a ratio of tilted to plain normalisers
+    # cancels to E[e^U] = 1; the product of per-step means keeps e^2.
+    model = two_point_model()
+    utility = UtilitySpec.exp_logit_plus_length(0.1)
+    got = utility_moments(model, EMPTY, 2, utility)(temperature)
+    want = utility_moments(zero_coupling_twin(model), EMPTY, 2, utility)(temperature)
+    assert got == pytest.approx(want, rel=1e-12)
+    if temperature <= 1e-3:
+        assert got[0] == pytest.approx(math.exp(2.0) + 0.2, rel=1e-12)
 
 
 def test_enumerated_covariance_matches_a_long_double_oracle():
