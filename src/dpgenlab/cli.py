@@ -62,6 +62,9 @@ from .utility import OptimizationProblem, UtilitySpec, objective_curve, optimal_
 
 CURVE_HEADER = "temperature,expected_utility,objective,derivative"
 CURVE_POINTS = 101
+# Most temperatures a --grid may hold; a sweep runs one cell per temperature,
+# length and repeat.
+MAX_GRID_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,11 +94,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if stop < start:
         raise ArgumentError(f"--grid stop {stop} is below start {start}")
     span = (stop - start) / step
-    if not math.isfinite(span):
-        raise ArgumentError(f"--grid has too many points: {text!r}")
-    count = int(math.floor(span + 1e-9))
+    # A span past the cap never becomes a count, so no huge grid is built.
+    count = int(math.floor(span + 1e-9)) if span < MAX_GRID_POINTS else MAX_GRID_POINTS
     if abs(start + (count + 1) * step - stop) < step * 1e-6:
         count += 1
+    if count >= MAX_GRID_POINTS:
+        raise ArgumentError(f"--grid has more than {MAX_GRID_POINTS} points: {text!r}")
     return tuple(round(start + i * step, 10) for i in range(count + 1))
 
 

@@ -47,6 +47,14 @@ from .errors import (
 
 DEFAULT_ENUM_CAP = 10**6
 
+# The coupling-free sampler's guide table has a power of two above
+# BUCKETS_PER_VALUE * (V-1) buckets. At most V-1 of them hold a CDF value, so
+# about 1/BUCKETS_PER_VALUE of the draws fall back to a binary search. A step
+# with fewer draws than max(buckets, GUIDE_MIN_DRAWS) builds no table: the
+# table's fixed cost, about a dozen numpy calls, would outweigh its savings.
+BUCKETS_PER_VALUE = 16
+GUIDE_MIN_DRAWS = 4096
+
 TOKEN_NORMALISATION_TOL = 1e-12
 MESSAGE_NORMALISATION_TOL = 1e-10
 
@@ -682,6 +690,27 @@ def derive_rng(root_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=tuple(key)))
 
 
+def _invert_cdf(cum: np.ndarray, u: np.ndarray, buckets: int) -> np.ndarray:
+    """#{j < V-1 : cum[j] <= u} for each draw u in [0, 1), which is what
+    ``min(searchsorted(cum, u, side="right"), V - 1)`` gives.
+
+    Indexed search (Chen & Asau 1974): ``buckets`` is a power of two, so
+    bucket b = floor(u * buckets) holds exactly the u in [b/B, (b+1)/B). A
+    bucket that holds no value of cum[:-1] answers with one table lookup;
+    only the draws in the others fall back to ``searchsorted``. With too few
+    draws to pay for a table, every draw does.
+    """
+    inner = cum[:-1]
+    if u.size < max(buckets, GUIDE_MIN_DRAWS):
+        return np.searchsorted(inner, u, side="right")
+    edges = np.searchsorted(inner, np.arange(buckets + 1) / buckets, side="right")
+    table = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    idx = table[(u * buckets).astype(np.intp)]
+    ambiguous = np.flatnonzero(idx < 0)
+    idx[ambiguous] = np.searchsorted(inner, u[ambiguous], side="right")
+    return idx
+
+
 def sample_messages(
     model: LogitModel,
     dataset: Dataset,
@@ -689,11 +718,15 @@ def sample_messages(
     rng: np.random.Generator,
     count: int,
 ) -> np.ndarray:
-    """Draw ``count`` messages token by token; returns an (count, L) array.
+    """Draw ``count`` messages token by token; returns a C-contiguous
+    (count, L) int64 array.
 
     Each step draws one uniform per message and inverts the CDF of the exact
-    per-step distribution, so the output is fully determined by the rng state.
-    A temperature so low that the scaled logits overflow raises
+    per-step distribution, returning the index ``searchsorted(cum, u,
+    side="right")`` would, clamped to V-1; so the output is fully determined
+    by the rng state. Without history coupling ``_invert_cdf`` inverts each
+    step with a guide table; with it, each row's CDF is compared with its own
+    draw. A temperature so low that the scaled logits overflow raises
     ModelEvaluationError.
     """
     if count < 0:
@@ -702,17 +735,17 @@ def sample_messages(
     L = config.length
     base = path_logits(model, dataset, L)
     coupling = model._coupling_array
-    out = np.empty((count, L), dtype=np.int64)
+    buckets = 1 << (BUCKETS_PER_VALUE * (V - 1)).bit_length()
+    out = np.empty((L, count), dtype=np.int64)
     acc = None if coupling is None else np.zeros((count, V))
     for k in range(L):
         logits = base[k] if acc is None else base[k][None, :] + acc
         cum = np.cumsum(np.exp(_tempered_log_probs(logits, config.temperature)), axis=-1)
         u = rng.random(count)
         if acc is None:
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), V - 1)
+            out[k] = _invert_cdf(cum, u, buckets)
         else:
-            idx = np.minimum((u[:, None] >= cum).sum(axis=1), V - 1)
-        out[:, k] = idx
-        if acc is not None and k < L - 1:
-            acc += coupling[idx]
-    return out
+            out[k] = (u[:, None] >= cum[:, :-1]).sum(axis=1)
+            if k < L - 1:
+                acc += coupling[out[k]]
+    return np.ascontiguousarray(out.T)

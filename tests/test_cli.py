@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dpgenlab import UtilitySpec, cli
+from dpgenlab import ArgumentError, UtilitySpec, cli
 from dpgenlab.cli import main
 
 
@@ -373,6 +373,22 @@ def test_grid_with_an_infinite_point_count_exits_2(capsys, workdir):
     record = json.loads(err)
     assert record["exit_code"] == 2 and "--grid" in record["message"]
     assert not out.exists()
+
+
+def test_grid_past_the_point_cap_exits_2_before_building_it(capsys, workdir):
+    out = workdir / "x.csv"
+    code, stdout, err = run(
+        capsys,
+        ["sweep", *pair_args(workdir), "--grid", "0:1e8:1", "--L", "2", "--out", str(out)],
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["exit_code"] == 2 and "--grid" in record["message"]
+    cap = cli.MAX_GRID_POINTS
+    assert len(cli._parse_grid(f"1:{cap}:1")) == cap
+    with pytest.raises(ArgumentError, match="--grid"):
+        cli._parse_grid(f"0:{cap}:1")
 
 
 def test_missing_model_exits_3(capsys, workdir):

@@ -462,15 +462,50 @@ def test_sampled_frequencies_track_enumerated_probabilities(seed):
     assert float(0.5 * np.abs(freqs - dist.probs()).sum()) < 0.02
 
 
-@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("seed", range(20))
 def test_sampler_draws_what_a_scipy_normalised_sampler_draws(seed):
+    # Seeds 16-19 are coupling-free, with up to 50 tokens and 5000 draws, so
+    # many draws land in the guide table's ambiguous buckets.
     rng = np.random.default_rng(500 + seed)
-    model, pair, length = make_random_instance(rng, max_length=4, with_coupling=seed % 2 == 0)
+    if seed < 16:
+        model, pair, length = make_random_instance(rng, max_length=4, with_coupling=seed % 2 == 0)
+        count = 300
+    else:
+        vocab_size = (7, 16, 33, 50)[seed - 16]
+        model, pair, length = make_random_instance(
+            rng, max_length=3, with_coupling=False, vocab_size=vocab_size
+        )
+        count = 5000
     temperature = float(rng.choice([0.2, 0.5, 1.0, 1.7, 4.0]))
     config = GenerationConfig(temperature, length)
-    got = sample_messages(model, pair.left, config, derive_rng(seed, 3), 300)
-    want = scipy_normalised_sampler(model, pair.left, length, temperature, derive_rng(seed, 3), 300)
+    got = sample_messages(model, pair.left, config, derive_rng(seed, 3), count)
+    want = scipy_normalised_sampler(model, pair.left, length, temperature, derive_rng(seed, 3), count)
+    assert got.shape == (count, length) and got.dtype == np.int64 and got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("V", [1, 2, 3, 4, 5, 10, 100, 1000])
+def test_guide_table_inverts_each_cdf_as_searchsorted_does(V):
+    rng = np.random.default_rng(V)
+    for trial in range(12):
+        probs = rng.dirichlet(np.full(V, 0.5))
+        probs[rng.random(V) < 0.3] = 0.0  # zero-probability tokens repeat a CDF value
+        cum = np.cumsum(probs) / max(probs.sum(), 1e-300)
+        if trial % 2:
+            cum = np.round(cum * 64) / 64  # CDF values on bucket edges
+        top = (1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0))[trial % 3]
+        cum = np.append(np.minimum(cum[:-1], top), top)
+        buckets = 1 << int(rng.integers(0, 13))
+        edges = np.arange(buckets + 1) / buckets
+        u = np.concatenate([
+            edges, np.nextafter(edges, 0.0), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+            rng.random(generation.GUIDE_MIN_DRAWS),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.minimum(np.searchsorted(cum, u, side="right"), V - 1)
+        # All the draws go through the table; the first 100 are too few for one.
+        np.testing.assert_array_equal(generation._invert_cdf(cum, u, buckets), want)
+        np.testing.assert_array_equal(generation._invert_cdf(cum, u[:100], buckets), want[:100])
 
 
 def test_derive_rng_depends_on_every_key_part():
