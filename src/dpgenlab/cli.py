@@ -94,12 +94,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if stop < start:
         raise ArgumentError(f"--grid stop {stop} is below start {start}")
     span = (stop - start) / step
-    # A span past the cap never becomes a count, so no huge grid is built.
-    count = int(math.floor(span + 1e-9)) if span < MAX_GRID_POINTS else MAX_GRID_POINTS
+    too_many = f"--grid has more than {MAX_GRID_POINTS} points: {text!r}"
+    if span >= MAX_GRID_POINTS:
+        raise ArgumentError(too_many)
+    count = int(math.floor(span + 1e-9))
     if abs(start + (count + 1) * step - stop) < step * 1e-6:
         count += 1
     if count >= MAX_GRID_POINTS:
-        raise ArgumentError(f"--grid has more than {MAX_GRID_POINTS} points: {text!r}")
+        raise ArgumentError(too_many)
     return tuple(round(start + i * step, 10) for i in range(count + 1))
 
 

@@ -47,13 +47,14 @@ from .errors import (
 
 DEFAULT_ENUM_CAP = 10**6
 
-# The coupling-free sampler's guide table has a power of two above
-# BUCKETS_PER_VALUE * (V-1) buckets. At most V-1 of them hold a CDF value, so
-# about 1/BUCKETS_PER_VALUE of the draws fall back to a binary search. A step
-# with fewer draws than max(buckets, GUIDE_MIN_DRAWS) builds no table: the
-# table's fixed cost, about a dozen numpy calls, would outweigh its savings.
+# The coupling-free sampler's guide table has the power of two above
+# min(BUCKETS_PER_VALUE * (V-1), draws // DRAWS_PER_BUCKET) buckets. At most
+# V-1 buckets hold a CDF value, so with enough draws about 1/BUCKETS_PER_VALUE
+# of the draws fall back to a binary search. Building the table takes one
+# search per bucket, so with few draws or a large V it costs at most
+# 2/DRAWS_PER_BUCKET of the searches the draws would take without it.
 BUCKETS_PER_VALUE = 16
-GUIDE_MIN_DRAWS = 4096
+DRAWS_PER_BUCKET = 16
 
 TOKEN_NORMALISATION_TOL = 1e-12
 MESSAGE_NORMALISATION_TOL = 1e-10
@@ -697,12 +698,9 @@ def _invert_cdf(cum: np.ndarray, u: np.ndarray, buckets: int) -> np.ndarray:
     Indexed search (Chen & Asau 1974): ``buckets`` is a power of two, so
     bucket b = floor(u * buckets) holds exactly the u in [b/B, (b+1)/B). A
     bucket that holds no value of cum[:-1] answers with one table lookup;
-    only the draws in the others fall back to ``searchsorted``. With too few
-    draws to pay for a table, every draw does.
+    only the draws in the others fall back to ``searchsorted``.
     """
     inner = cum[:-1]
-    if u.size < max(buckets, GUIDE_MIN_DRAWS):
-        return np.searchsorted(inner, u, side="right")
     edges = np.searchsorted(inner, np.arange(buckets + 1) / buckets, side="right")
     table = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
     idx = table[(u * buckets).astype(np.intp)]
@@ -735,7 +733,7 @@ def sample_messages(
     L = config.length
     base = path_logits(model, dataset, L)
     coupling = model._coupling_array
-    buckets = 1 << (BUCKETS_PER_VALUE * (V - 1)).bit_length()
+    buckets = 1 << min(BUCKETS_PER_VALUE * (V - 1), count // DRAWS_PER_BUCKET).bit_length()
     out = np.empty((L, count), dtype=np.int64)
     acc = None if coupling is None else np.zeros((count, V))
     for k in range(L):

@@ -387,8 +387,10 @@ def test_grid_past_the_point_cap_exits_2_before_building_it(capsys, workdir):
     assert record["exit_code"] == 2 and "--grid" in record["message"]
     cap = cli.MAX_GRID_POINTS
     assert len(cli._parse_grid(f"1:{cap}:1")) == cap
-    with pytest.raises(ArgumentError, match="--grid"):
-        cli._parse_grid(f"0:{cap}:1")
+    # A stop just short of the cap still counts as the grid's last point.
+    for text in (f"0:{cap}:1", f"0:{cap - 1e-8}:1"):
+        with pytest.raises(ArgumentError, match="--grid"):
+            cli._parse_grid(text)
 
 
 def test_missing_model_exits_3(capsys, workdir):
