@@ -16,8 +16,10 @@ written, such as one in a missing directory), 4 numeric or solver error, and
 any other unexpected failure, 5 enumeration cap exceeded. Every error prints
 a one-line JSON record to stderr, never a traceback.
 
-The ``DPGENLAB_ENUM_CAP`` environment variable overrides the default cap on
-exact message enumeration.
+The ``DPGENLAB_ENUM_CAP`` environment variable overrides the default
+enumeration cap, which bounds what each exact path builds: V^L messages for
+message and score tables, the logits of the walks' lattice rows, and
+V^ceil(L/2) half-table atoms for a coupling-free model's hockey-stick delta.
 """
 
 from __future__ import annotations

@@ -44,13 +44,16 @@ class SolverError(WorkbenchError):
 
 
 class EnumerationCapError(WorkbenchError):
-    """The message space is larger than the configured enumeration cap."""
+    """An exact path would build more than the configured enumeration cap:
+    messages, half-table atoms, or logits in lattice rows or step rows, as
+    ``counted`` names them. ``states`` is the count, or its text (such as ``10^40``)
+    where the count is too large to build."""
 
     exit_code = EXIT_CAP
 
-    def __init__(self, states: int, cap: int) -> None:
+    def __init__(self, states: int | str, cap: int, counted: str = "messages") -> None:
         super().__init__(
-            f"enumeration would visit {states} messages but the cap is {cap}; "
+            f"enumeration would visit {states} {counted} but the cap is {cap}; "
             "raise the cap (or DPGENLAB_ENUM_CAP) to proceed"
         )
         self.states = states

@@ -526,14 +526,45 @@ def message_log_probability(
     return total
 
 
-def check_enumerable(vocab_size: int, length: int, cap: int) -> int:
-    """V^L, after ConfigError unless ``cap`` is an integer >= 1 and
-    EnumerationCapError if V^L exceeds it; every exact path calls this."""
+# What each exact path builds, as a function of (|V|, L): the natural log of
+# the count, and the count itself. The V^L tables are the message and score
+# tables (coupled hockey-stick delta, the table utility, enumerated moments and
+# label smoothing); the split hockey-stick delta of a coupling-free model
+# builds half tables of V^ceil(L/2) atoms; the coupled walk builds
+# sum_{k=1..L} C(k+V-2, V-1) = C(L+V-1, V) lattice rows and the coupling-free
+# walk and its closed forms L rows. A row holds V logits, and the walks are
+# capped by their logits, so every count bounds the arrays built.
+_BUILT = {
+    "messages": (lambda V, L: L * math.log(V), lambda V, L: V**L),
+    "half-table atoms": (lambda V, L: -(-L // 2) * math.log(V), lambda V, L: V ** -(-L // 2)),
+    "logits in lattice rows": (
+        lambda V, L: math.log(V) + math.lgamma(L + V) - math.lgamma(V + 1) - math.lgamma(L),
+        lambda V, L: V * math.comb(L + V - 1, V),
+    ),
+    "logits in step rows": (lambda V, L: math.log(V * L), lambda V, L: V * L),
+}
+
+
+def check_enumerable(vocab_size: int, length: int, cap: int, built: str = "messages") -> int:
+    """How many of ``built`` a path over |V| tokens and L steps allocates:
+    "messages", "half-table atoms", "logits in lattice rows" or "logits in
+    step rows".
+
+    Raises ConfigError unless ``cap`` is an integer >= 1, and
+    EnumerationCapError if the count exceeds it. Every exact path calls this
+    with what it builds, before it allocates. A count far past the cap is
+    refused from its logarithm, without building the number.
+    """
     if not 1 <= cap < np.inf or int(cap) != cap:
         raise ConfigError(f"enum_cap must be an integer >= 1, got {cap!r}")
-    states = vocab_size**length
+    cap = int(cap)
+    log_count, count = _BUILT[built]
+    magnitude = log_count(vocab_size, length)
+    if magnitude > 2 * math.log(cap) + 50:
+        raise EnumerationCapError(f"about 10^{magnitude / math.log(10):.0f}", cap, built)
+    states = count(vocab_size, length)
     if states > cap:
-        raise EnumerationCapError(states, int(cap))
+        raise EnumerationCapError(states, cap, built)
     return states
 
 
@@ -565,12 +596,14 @@ def _prefix_walk(
     (n_k, |V|) whose entry [c, w] is the row of c + e_w at step k+1. A model
     without history coupling has one (1, |V|) row per step, which every
     prefix shares; like the last step, it yields no child map (None). The
-    enumeration cap still counts the |V|^L messages.
+    enumeration cap counts the logits the walk builds: |V| per row, over the
+    lattice's C(L+V-1, V) rows, or over L rows without coupling.
     """
     V = model.vocabulary.size
-    check_enumerable(V, length, enum_cap)
-    base = path_logits(model, dataset, length)
     coupling = model._coupling_array
+    built = "logits in step rows" if coupling is None else "logits in lattice rows"
+    check_enumerable(V, length, enum_cap, built)
+    base = path_logits(model, dataset, length)
     if coupling is None:
         for k in range(length):
             yield base[k][None, :], None
@@ -642,6 +675,7 @@ def enumerate_message_distribution(
     model: LogitModel, dataset: Dataset, config: GenerationConfig
 ) -> MessageDistribution:
     """Exact product-form distribution over all |V|^L messages."""
+    check_enumerable(model.vocabulary.size, config.length, config.enum_cap)
     table = _message_table(_level_log_probs(model, dataset, config))
     return MessageDistribution(model.vocabulary, config.length, table)
 
@@ -678,7 +712,7 @@ def enumerate_cumulative_scores(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> np.ndarray:
     """U(m) for every message of ``length``, in lexicographic order."""
-    check_length(length)
+    check_enumerable(model.vocabulary.size, check_length(length), enum_cap)
     return _message_table(_prefix_walk(model, dataset, length, enum_cap))
 
 

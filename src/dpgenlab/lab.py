@@ -47,6 +47,9 @@ from .privacy import NeighborPair
 from .utility import UtilitySpec
 
 IDENTITY_LABEL_CAP = 4096
+# A sweep holds one task and one result per cell, so this bounds its memory
+# (about 15 MB of tasks at the cap) before anything is built.
+MAX_SWEEP_CELLS = 100_000
 LABEL_KINDS = ("identity", "first_token")
 
 METRICS = ("empirical_epsilon", "tv", "js", "mean_U", "mean_info_score", "cov_nu_U")
@@ -395,7 +398,8 @@ def run_sweep(
     Means and stds are taken across ``repeats`` independent cells; the std
     uses the unbiased (n-1) denominator and is 0.0 when repeats == 1. At most
     ``jobs`` worker processes run the cells, and never more than there are
-    cells.
+    cells. More than ``MAX_SWEEP_CELLS`` cells (temperatures x lengths x
+    repeats) is a ConfigError, raised before any task is built.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -405,6 +409,12 @@ def run_sweep(
         raise ConfigError("at least one length is required")
     if not temperatures:
         raise ConfigError("at least one temperature is required")
+    cells = len(temperatures) * len(lengths) * repeats
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigError(
+            f"sweep has {cells} cells (temperatures x lengths x repeats) but the cap "
+            f"is {MAX_SWEEP_CELLS}"
+        )
     if utility is None:
         utility = UtilitySpec.exp_logit_plus_length()
     lengths = tuple(int(x) for x in lengths)

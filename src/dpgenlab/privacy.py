@@ -21,9 +21,17 @@ through the composition lattice, so the message epsilon is a max-plus pass
 over the levels, backward from the last through the lattice's child maps, and
 its witness follows the argmaxes forward from the root. Without coupling a
 level is one shared (1, V) row, and the pass reduces to
-max(sum_k max_w r_k, sum_k max_w -r_k) at O(L*V) cost. Only hockey-stick
-delta enumerates the two V^L-entry message tables. Every path enforces the
-same enumeration cap, which counts the V^L messages.
+max(sum_k max_w r_k, sum_k max_w -r_k) at O(L*V) cost.
+
+Hockey-stick delta of a coupled model sums over the two V^L-entry message
+tables. Without coupling the privacy loss of a message is a sum of
+independent per-step terms, so delta is split in the middle (Horowitz &
+Sahni's meet in the middle, applied to the privacy-loss distribution of a
+product mechanism): each arm gets two half tables of at most V^ceil(L/2)
+atoms, and delta is read exactly from one sorted half and its suffix sums.
+The enumeration cap counts what each path builds: the logits of the lattice
+rows (of L rows without coupling) for the epsilons, the V^L messages of the
+tables, or the V^ceil(L/2) atoms of the split.
 """
 
 from __future__ import annotations
@@ -41,12 +49,14 @@ from .generation import (
     Message,
     MessageDistribution,
     Record,
+    check_enumerable,
     check_length,
     check_temperature,
     enumerate_message_distribution,
     record_influence_vector,
     token_distribution,
     _level_log_probs,
+    _message_table,
 )
 
 BOUND_SLACK = 1e-9
@@ -296,8 +306,7 @@ def hockey_stick_delta(
     including in S.
     """
     _require_same_space(p, q)
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    _check_epsilon(epsilon)
     lp = p.log_probs
     lq = q.log_probs + epsilon
     mask = lp > lq
@@ -310,6 +319,56 @@ def hockey_stick_curve(
     p: MessageDistribution, q: MessageDistribution, epsilons: Sequence[float]
 ) -> tuple[tuple[float, float], ...]:
     return tuple((float(e), hockey_stick_delta(p, q, e)) for e in epsilons)
+
+
+def split_hockey_stick_curve(
+    model: LogitModel, pair: NeighborPair, config: GenerationConfig, epsilons: Sequence[float]
+) -> tuple[tuple[float, float], ...]:
+    """(eps, delta(eps)) for a model without history coupling, exactly,
+    from half tables of at most V^ceil(L/2) atoms per arm.
+
+    A message m = (a, b) splits into its first ceil(L/2) tokens a and the
+    rest b. Without coupling P(m) = P_a P_b, Q(m) = Q_a Q_b, and the loss
+    log P(m)/Q(m) is lambda_a + lambda_b. With B sorted by lambda_b, and SP(t),
+    SQ(t) the sums of P_b, Q_b over lambda_b > t,
+
+        delta(eps) = sum_a P_a SP(eps - lambda_a) - e^eps Q_a SQ(eps - lambda_a)
+
+    with one searchsorted over the atoms a per epsilon. Every term is
+    summed in log space: e^eps Q_a SQ <= P_a SP <= 1, so no term overflows
+    where e^eps alone would.
+    """
+    if model.history_coupling is not None:
+        raise ArgumentError("the split hockey-stick delta needs a model without history coupling")
+    check_enumerable(model.vocabulary.size, config.length, config.enum_cap, "half-table atoms")
+    half = -(-config.length // 2)
+    tables = []
+    for dataset in (pair.left, pair.right):
+        levels = list(_level_log_probs(model, dataset, config))
+        tables.append((_message_table(levels[:half]), _message_table(levels[half:])))
+    (lp_a, lp_b), (lq_a, lq_b) = tables
+    loss_a, loss_b = lp_a - lq_a, lp_b - lq_b
+    order = np.argsort(loss_b)
+    loss_b = loss_b[order]
+
+    def log_suffix_sums(log_w: np.ndarray) -> np.ndarray:
+        # Entry i is log sum_{j >= i} w_j in lambda_b order; the last, -inf,
+        # is the empty sum past every atom.
+        return np.append(np.logaddexp.accumulate(log_w[order][::-1])[::-1], -np.inf)
+
+    sp, sq = log_suffix_sums(lp_b), log_suffix_sums(lq_b)
+    curve = []
+    for eps in epsilons:
+        _check_epsilon(eps)
+        first = np.searchsorted(loss_b, eps - loss_a, side="right")
+        delta = np.exp(lp_a + sp[first]).sum() - np.exp(eps + lq_a + sq[first]).sum()
+        curve.append((float(eps), max(float(delta), 0.0)))
+    return tuple(curve)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
 
 def _require_same_space(p: MessageDistribution, q: MessageDistribution) -> None:
@@ -330,7 +389,14 @@ def analyze_pair(
     pair: NeighborPair,
     config: GenerationConfig,
 ) -> PrivacyReport:
-    """Full privacy report, worst case over every declared context."""
+    """Full privacy report, worst case over every declared context.
+
+    Hockey-stick delta builds the most of any field, so its count is checked
+    against the cap before any walk.
+    """
+    coupled = model.history_coupling is not None
+    built = "messages" if coupled else "half-table atoms"
+    check_enumerable(model.vocabulary.size, config.length, config.enum_cap, built)
     sens = logit_sensitivity(model, pair)
     tok_bound = token_epsilon_bound(sens.delta_logit, config.temperature)
     msg_bound = message_epsilon_bound(sens.delta_logit, config.temperature, config.length)
@@ -352,9 +418,13 @@ def analyze_pair(
         )
 
     ctx_model = model.with_context(worst_context)
-    p = enumerate_message_distribution(ctx_model, pair.left, config)
-    q = enumerate_message_distribution(ctx_model, pair.right, config)
-    curve = hockey_stick_curve(p, q, (0.0, worst_eps / 2.0, worst_eps))
+    epsilons = (0.0, worst_eps / 2.0, worst_eps)
+    if coupled:
+        p = enumerate_message_distribution(ctx_model, pair.left, config)
+        q = enumerate_message_distribution(ctx_model, pair.right, config)
+        curve = hockey_stick_curve(p, q, epsilons)
+    else:
+        curve = split_hockey_stick_curve(ctx_model, pair, config, epsilons)
 
     assert worst_message is not None and per_step is not None
     return PrivacyReport(

@@ -49,6 +49,7 @@ from .privacy import (
     logit_sensitivity,
     message_epsilon_bound,
     message_epsilon_exact,
+    split_hockey_stick_curve,
     token_epsilon_bound,
     token_epsilon_exact,
 )
@@ -422,9 +423,10 @@ def check_optimizer_boundaries() -> None:
 
 
 def check_closed_form_matches_enumeration() -> None:
-    """A coupling-free model has one shared row per level and closed-form
-    utility moments; its zero-coupling twin has the same law but one row per
-    prefix and an enumerated score table."""
+    """A coupling-free model has one shared row per level, a split
+    hockey-stick delta and closed-form utility moments; its zero-coupling
+    twin has the same law but one row per prefix, message tables and an
+    enumerated score table."""
     vocab = Vocabulary(("a", "b", "c"))
     tables = {"default": ((0.4, 0.0, -0.3), (0.1, 0.5, 0.0), (-0.2, 0.3, 0.6))}
     rule = TagTableRule(beta=1.0, table={"up": (1.0, 0.0, -0.5), "down": (-0.5, 0.0, 1.0)})
@@ -439,13 +441,11 @@ def check_closed_form_matches_enumeration() -> None:
     config = GenerationConfig(0.8, 3)
     eps, _ = message_epsilon_exact(free, pair, config)
     _close(eps, message_epsilon_exact(twin, pair, config)[0], 1e-12, "message epsilon")
-    free_delta, twin_delta = (
-        hockey_stick_delta(
-            enumerate_message_distribution(m, pair.left, config),
-            enumerate_message_distribution(m, pair.right, config),
-            eps / 2,
-        )
-        for m in (free, twin)
+    ((_, free_delta),) = split_hockey_stick_curve(free, pair, config, (eps / 2,))
+    twin_delta = hockey_stick_delta(
+        enumerate_message_distribution(twin, pair.left, config),
+        enumerate_message_distribution(twin, pair.right, config),
+        eps / 2,
     )
     _true(free_delta > 0.0, "delta at eps/2 should be positive")
     _close(free_delta, twin_delta, 1e-12, "hockey-stick delta at eps/2")

@@ -24,9 +24,10 @@ no factor cancels at a small T and the only exponent taken is e^{max U}.
 Otherwise the V^L score table is enumerated once, gathered from the
 composition lattice's rows, and each temperature costs one exp pass over the
 scores shifted by their maximum and one product with the stacked rows
-[nu, nu * shifted, shifted]. Both paths enforce the same enumeration cap; the
-closed forms normalise with ``generation.logsumexp``, the one normaliser of
-the package. The solver, the objective, the curve and the derivative
+[nu, nu * shifted, shifted]. The enumeration cap counts what each path
+builds: the L*V logits of the closed forms, or the table's V^L messages.
+The closed forms normalise with ``generation.logsumexp``, the one normaliser
+of the package. The solver, the objective, the curve and the derivative
 evaluate the moments with numpy's floating-point warnings off, and reject a
 non-finite result as SolverError.
 """
@@ -325,11 +326,12 @@ def utility_moments(
     """The function T -> (E_T[nu], Cov_T(nu, U)) under the Gibbs law.
 
     Coupling-free models with a score-based utility get per-step closed
-    forms; coupled models and the table utility enumerate the score table
-    once and reuse it for every temperature.
+    forms, capped by the logits of their L rows; coupled models and the table utility
+    enumerate the score table once, capped by its V^L messages, and reuse it
+    for every temperature.
     """
-    check_enumerable(model.vocabulary.size, length, enum_cap)
     if model.history_coupling is None and utility.kind != "table":
+        check_enumerable(model.vocabulary.size, length, enum_cap, "logits in step rows")
         return _factorised_moments(path_logits(model, dataset, length), utility, length)
     scores = enumerate_cumulative_scores(model, dataset, length, enum_cap)
     values = utility.values_for(scores, length)

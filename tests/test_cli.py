@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpgenlab import ArgumentError, UtilitySpec, cli
@@ -393,6 +394,19 @@ def test_grid_past_the_point_cap_exits_2_before_building_it(capsys, workdir):
             cli._parse_grid(text)
 
 
+def test_sweep_past_the_cell_cap_exits_2_before_building_it(capsys, workdir):
+    out = workdir / "x.csv"
+    code, stdout, err = run(
+        capsys,
+        ["sweep", *pair_args(workdir), "--grid", "1:1:1", "--L", "2", "--samples", "10",
+         "--repeats", "100001", "--jobs", "1", "--out", str(out)],
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["exit_code"] == 2 and "100001 cells" in record["message"]
+
+
 def test_missing_model_exits_3(capsys, workdir):
     code, _, err = run(
         capsys,
@@ -414,7 +428,14 @@ def test_neighbor_index_out_of_range_exits_3(capsys, workdir):
     assert json.loads(err)["exit_code"] == 3
 
 
+def _with_coupling(workdir, coupling):
+    model = json.loads((workdir / "model.json").read_text())
+    (workdir / "model.json").write_text(json.dumps(dict(model, history_coupling=coupling)))
+
+
 def test_enum_cap_env_exits_5(capsys, workdir, monkeypatch):
+    # Coupled hockey-stick delta needs the two V^L message tables.
+    _with_coupling(workdir, [[0.0, 0.0], [0.0, 0.0]])
     monkeypatch.setenv("DPGENLAB_ENUM_CAP", "3")
     code, _, err = run(
         capsys, ["analyze", *pair_args(workdir), "--T", "1.0", "--L", "2"]
@@ -422,7 +443,49 @@ def test_enum_cap_env_exits_5(capsys, workdir, monkeypatch):
     assert code == 5
     record = json.loads(err)
     assert record["exit_code"] == 5
-    assert "cap" in record["message"]
+    assert "4 messages but the cap is 3" in record["message"]
+
+
+def test_free_model_answers_exactly_where_its_coupled_twin_hits_the_cap(capsys, tmp_path):
+    # V = 10, L = 12: 10^12 messages, but the split hockey-stick delta builds
+    # two half tables of 10^6 atoms, exactly the default cap.
+    rng = np.random.default_rng(12)
+    tokens = [f"t{i}" for i in range(10)]
+    model = {
+        "schema_version": 1,
+        "vocabulary": tokens,
+        "contexts": [{"id": "c", "base_logits": rng.uniform(-2, 2, (3, 10)).round(3).tolist()}],
+        "influence": {"kind": "label_bonus", "beta": 0.5},
+        "history_coupling": None,
+    }
+    data = {"schema_version": 1, "records": [["t0", 1.0, ""], ["t1", 1.0, ""]]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "data.json").write_text(json.dumps(data))
+    argv = ["analyze", "--model", str(tmp_path / "model.json"), "--data",
+            str(tmp_path / "data.json"), "--neighbor-index", "0", "--neighbor-record",
+            "t2,1.0,", "--T", "1.0", "--L", "12"]
+    report = payload(capsys, argv)
+    eps = report["exact_message_epsilon"]
+    assert 0 < eps <= report["message_epsilon_bound"]
+    (e0, d0), (e1, d1), (e2, d2) = report["hockey_stick_delta_at"]
+    assert (e0, e1, e2) == (0.0, eps / 2, eps)
+    assert 1 > d0 > d1 > 0 and abs(d2) <= 1e-12
+    _with_coupling(tmp_path, [[0.0] * 10] * 10)
+    code, stdout, err = run(capsys, argv)
+    assert code == 5 and stdout == ""
+    assert "1000000000000 messages but the cap is 1000000" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_a_count_too_large_to_print_still_exits_5(capsys, workdir, coupled):
+    # 2^20000 messages, or 2^10000 half-table atoms, have more digits than
+    # Python prints; the cap refuses them from their logarithm.
+    if coupled:
+        _with_coupling(workdir, [[0.0, 0.0], [0.0, 0.0]])
+    code, _, err = run(capsys, ["analyze", *pair_args(workdir), "--T", "1.0", "--L", "20000"])
+    assert code == 5
+    want = "10^6021 messages" if coupled else "10^3010 half-table atoms"
+    assert f"about {want} but the cap is 1000000" in json.loads(err)["message"]
 
 
 def test_unwritable_out_path_exits_3(capsys, workdir):

@@ -136,22 +136,44 @@ def _cap_cases():
 
 @pytest.mark.parametrize("kind", ["free", "twin"])
 def test_enumeration_cap_holds_on_both_paths(kind):
+    # Each path answers at a cap equal to the count of what it builds and
+    # raises EnumerationCapError, naming that count, one below. V = 3, L = 5:
+    # 243 messages, 27 half-table atoms, 3 * C(7, 3) = 105 logits in lattice
+    # rows and 3 * 5 = 15 logits in step rows.
     model = _cap_cases()[kind]
     left = Dataset((Record("a", 1.0, ""),))
     pair = NeighborPair(left=left, right=left.replace(0, Record("b", 1.0, "")), differing_index=0)
-    config = GenerationConfig(1.0, 3, enum_cap=26)
-    with pytest.raises(EnumerationCapError):
-        analyze_pair(model, pair, config)
-    with pytest.raises(EnumerationCapError):
-        per_step_max_epsilons(model, pair, config)
     nu = UtilitySpec.exp_logit_plus_length(0.1)
-    problem = OptimizationProblem(model, left, 3, nu, 0.1, enum_cap=26)
-    with pytest.raises(EnumerationCapError):
-        optimal_temperature(problem)
-    with pytest.raises(EnumerationCapError):
-        objective_curve(problem, 5)
-    with pytest.raises(EnumerationCapError):
-        utility_temperature_derivative(model, left, 3, nu, 1.0, enum_cap=26)
+    table = UtilitySpec.table(range(243))
+    free = kind == "free"
+    walk = (15, "logits in step rows") if free else (105, "logits in lattice rows")
+    messages = (243, "messages")
+    moments = walk if free else messages
+
+    def config(cap):
+        return GenerationConfig(1.0, 5, cap)
+
+    def problem(utility, cap):
+        return OptimizationProblem(model, left, 5, utility, 0.1, enum_cap=cap)
+
+    cases = [
+        (lambda cap: analyze_pair(model, pair, config(cap)),
+         (27, "half-table atoms") if free else messages),
+        (lambda cap: per_step_max_epsilons(model, pair, config(cap)), walk),
+        (lambda cap: message_epsilon_exact(model, pair, config(cap)), walk),
+        (lambda cap: optimal_temperature(problem(nu, cap)), moments),
+        (lambda cap: objective_curve(problem(nu, cap), 5), moments),
+        (lambda cap: utility_temperature_derivative(model, left, 5, nu, 1.0, enum_cap=cap),
+         moments),
+        # The table utility and the message tables count V^L on both paths.
+        (lambda cap: optimal_temperature(problem(table, cap)), messages),
+        (lambda cap: enumerate_message_distribution(model, left, config(cap)), messages),
+    ]
+    for call, (count, counted) in cases:
+        call(count)
+        message = f" {count} {counted} but the cap is {count - 1};"
+        with pytest.raises(EnumerationCapError, match=message):
+            call(count - 1)
 
 
 @pytest.mark.parametrize("coupled", [False, True])

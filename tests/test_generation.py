@@ -422,6 +422,34 @@ def test_enumeration_cap_is_enforced_with_counts_in_message():
     assert check_enumerable(2, 3, 8) == 8
 
 
+@pytest.mark.parametrize("V", [2, 3, 5])
+def test_the_cap_counts_what_each_walk_builds(V):
+    big = 10**9
+    for L in range(1, 7):
+        rng = np.random.default_rng(10 * V + L)
+        coupling = tuple(tuple(rng.uniform(-1, 1, V)) for _ in range(V))
+        tokens = tuple(f"t{i}" for i in range(V))
+        for c in (None, coupling):
+            model = plain_model(rows=((0.0,) * V,), coupling=c, vocab=tokens)
+            logits = sum(r.size for r, _ in generation._prefix_walk(model, EMPTY, L, big))
+            built = "logits in step rows" if c is None else "logits in lattice rows"
+            assert check_enumerable(V, L, big, built) == logits
+            with pytest.raises(EnumerationCapError, match=f" {logits} {built} but"):
+                next(generation._prefix_walk(model, EMPTY, L, logits - 1))
+        assert check_enumerable(V, L, big, "half-table atoms") == V ** math.ceil(L / 2)
+        assert check_enumerable(V, L, big) == V**L
+
+
+def test_a_count_far_past_the_cap_is_refused_without_building_it():
+    # 10^(10^9) would take minutes to build and cannot be printed.
+    with pytest.raises(EnumerationCapError, match=r"about 10\^1000000000 messages but the cap is 10;"):
+        check_enumerable(10, 10**9, 10)
+    with pytest.raises(EnumerationCapError, match=r"about 10\^500000000 half-table atoms"):
+        check_enumerable(10, 10**9, 10, "half-table atoms")
+    with pytest.raises(EnumerationCapError, match="logits in lattice rows but the cap is 10;"):
+        check_enumerable(1000, 10**9, 10, "logits in lattice rows")
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,22 @@ def test_sweep_rejects_degenerate_requests():
     for jobs in (0, -1):
         with pytest.raises(ConfigError, match="jobs"):
             run_sweep(model, pair, lengths=(1,), temperatures=(1.0,), jobs=jobs)
+
+
+def test_sweep_cell_cap_fires_before_any_task_is_built(monkeypatch):
+    import dpgenlab.lab as lab
+
+    model, pair = toy_pair()
+    monkeypatch.setattr(lab, "_run_cell", lambda task: pytest.fail("a cell ran"))
+    repeats = lab.MAX_SWEEP_CELLS // 2 + 1  # one task list past the cap is about 15 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"sweep has {2 * repeats} cells .* cap is 100000$"):
+            run_sweep(model, pair, lengths=(1,), temperatures=(0.5, 1.0), repeats=repeats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 class RecordingPool:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from dpgenlab import (
     message_index,
     message_epsilon_exact,
     per_step_max_epsilons,
+    split_hockey_stick_curve,
     temperature_floor_for_budget,
     token_epsilon_bound,
     token_epsilon_exact,
@@ -244,6 +246,110 @@ def test_hockey_stick_matches_subset_enumeration(seed):
         want = subset_hockey_stick(p.probs().tolist(), q.probs().tolist(), eps)
         assert got == pytest.approx(want, abs=1e-12)
     assert hockey_stick_delta(p, q, eps_exact) <= 1e-12
+
+
+def _split_against_tables(model, pair, config, epsilons):
+    """The split delta and the message tables' delta at each epsilon."""
+    got = split_hockey_stick_curve(model, pair, config, epsilons)
+    p = enumerate_message_distribution(model, pair.left, config)
+    q = enumerate_message_distribution(model, pair.right, config)
+    return [d for _, d in got], [d for _, d in hockey_stick_curve(p, q, epsilons)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_delta_matches_the_message_tables(seed):
+    rng = np.random.default_rng(5100 + seed)
+    model, pair, length = make_random_instance(
+        rng, vocab_size=int(rng.integers(2, 7)), length=int(rng.integers(1, 7)),
+        with_coupling=False,
+    )
+    config = GenerationConfig(float(rng.choice([0.05, 0.3, 1.0, 3.0])), length)
+    eps, _ = message_epsilon_exact(model, pair, config)
+    epsilons = (0.0, eps / 2, eps, float(rng.uniform(0.0, eps)), 1.5 * eps + 0.1)
+    got, want = _split_against_tables(model, pair, config, epsilons)
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
+    assert got[2] <= 1e-12 and got[4] == 0.0
+
+
+def _label_swap(vocab_size, beta, base=None):
+    """Left record labelled t0, right t1, under a label bonus of ``beta``;
+    the base logits are 0 unless given."""
+    model = LogitModel(
+        vocabulary=Vocabulary(tuple(f"t{i}" for i in range(vocab_size))),
+        base_tables={"c": (base or (0.0,) * vocab_size,)},
+        influence=LabelBonusRule(beta=beta),
+    )
+    left = Dataset((Record("t0", 1.0, ""),))
+    return model, NeighborPair(left, left.replace(0, Record("t1", 1.0, "")), 0)
+
+
+def test_split_delta_with_an_empty_second_half():
+    rng = np.random.default_rng(5200)
+    model, pair, _ = make_random_instance(rng, vocab_size=5, length=1, with_coupling=False)
+    config = GenerationConfig(0.7, 1)
+    eps, _ = message_epsilon_exact(model, pair, config)
+    got, want = _split_against_tables(model, pair, config, (0.0, eps / 3, eps))
+    assert got == pytest.approx(want, abs=1e-12, rel=0) and got[0] > 0
+
+
+def test_split_delta_of_identical_arms_is_zero_everywhere():
+    # beta = 0: every loss is exactly 0, so no atom passes any epsilon >= 0.
+    model, pair = _label_swap(4, 0.0, base=(0.3, -0.1, 0.0, 0.8))
+    got, want = _split_against_tables(model, pair, GenerationConfig(0.9, 5), (0.0, 0.5, 2.0))
+    assert got == [0.0, 0.0, 0.0] == want
+
+
+def test_split_delta_at_exact_sign_ties():
+    # A label swap on equal base logits gives per-step losses +x, -x and 0,
+    # so many messages tie at each of the table's losses, epsilon 0 included.
+    model, pair = _label_swap(3, 0.8)
+    config = GenerationConfig(0.6, 4)
+    p = enumerate_message_distribution(model, pair.left, config)
+    q = enumerate_message_distribution(model, pair.right, config)
+    ties = sorted({float(x) for x in p.log_probs - q.log_probs if x >= 0})
+    assert len(ties) > 1 and ties[0] == 0.0
+    got, want = _split_against_tables(model, pair, config, ties)
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+
+def test_split_delta_where_probabilities_underflow():
+    rng = np.random.default_rng(5300)
+    model, pair, _ = make_random_instance(rng, vocab_size=4, length=4, with_coupling=False)
+    config = GenerationConfig(0.004, 4)
+    p = enumerate_message_distribution(model, pair.left, config)
+    assert (p.probs() == 0.0).any()
+    eps, _ = message_epsilon_exact(model, pair, config)
+    got, want = _split_against_tables(model, pair, config, (0.0, eps / 2, eps, 0.9 * eps))
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+
+def test_split_delta_past_the_float_range_of_e_to_the_epsilon():
+    # beta = 3.1 at T = 0.01 gives 310 per step, so epsilon* = 1240: e^eps
+    # overflows and Q of the worst message underflows to 0.
+    model, pair = _label_swap(3, 3.1)
+    config = GenerationConfig(0.01, 4)
+    eps, _ = message_epsilon_exact(model, pair, config)
+    assert eps == pytest.approx(1240.0)
+    epsilons = (0.0, eps / 2, eps - 1.0, eps, 1300.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = _split_against_tables(model, pair, config, epsilons)
+    assert all(math.isfinite(d) for d in got)
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+
+def test_split_delta_refuses_coupling_and_bad_epsilons():
+    model, pair = _label_swap(2, 1.0)
+    config = GenerationConfig(1.0, 2)
+    coupled = LogitModel(
+        vocabulary=model.vocabulary, base_tables=model.base_tables, influence=model.influence,
+        history_coupling=((0.0, 0.1), (0.2, 0.0)),
+    )
+    with pytest.raises(ArgumentError, match="without history coupling"):
+        split_hockey_stick_curve(coupled, pair, config, (0.0,))
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="epsilon must be finite"):
+            split_hockey_stick_curve(model, pair, config, (bad,))
 
 
 # ---------------------------------------------------------------------------
